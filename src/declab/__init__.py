@@ -7,8 +7,7 @@ from .exponents import (candidate_growth_exponent, contradiction_search,
                         iterate_growth_bound, linear_bound_from_table,
                         one_step_recursion_bound, scale_reduction_sequence)
 from .fields import (AmplitudeField, ExtensionEvaluator, LineEvaluator,
-                     cap_restrict, extension_evaluator, extension_value,
-                     quadrature_refine)
+                     extension_evaluator, extension_value)
 from .geometry import (CurveEvaluator, CurveLiftSurface, NormalForm,
                        QuadCoeffs, QuadSurface, SurfaceEvaluator, curve_lift,
                        curve_nondegeneracy_det, is_admissible,

@@ -64,7 +64,10 @@ def measurement_ball(dim: int, radius: float, decay: float = DEFAULT_DECAY,
 
 
 def _x_max(ball: BallSpec) -> float:
-    return 1.05 * ball.quantile_radius(X_MAX_TAIL)
+    """Sup-norm bound, with a 5% margin, of the points the ball's sampler
+    draws: the largest center coordinate plus the radius that holds all but
+    X_MAX_TAIL of the sampling mass."""
+    return 1.05 * (float(np.abs(ball.center).max()) + ball.quantile_radius(X_MAX_TAIL))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +169,12 @@ def _aggregate(values: np.ndarray, stderrs: np.ndarray, p: float) -> tuple[float
 
 
 class _CapGroups:
-    """Maps evaluator cells (or atomic points) onto measurement caps."""
+    """Maps evaluator cells (or atomic points) onto measurement caps.
+
+    Cap values are gathered, not scattered: each cap takes its first cell,
+    then the caps holding several cells add the rest in cell order, one
+    cell per cap per round, so the sums match an in-order scatter-add bit
+    for bit."""
 
     def __init__(self, ev: ExtensionEvaluator, caps: Sequence[DyadicSquare]):
         self.ev = ev
@@ -191,12 +199,30 @@ class _CapGroups:
             self.index = np.asarray(idx, dtype=int)
         if np.any(self.index < 0):
             raise ValueError("field support escapes the requested caps")
+        counts = np.bincount(self.index, minlength=len(self.caps))
+        order = np.argsort(self.index, kind="stable")    # cells by cap, in order
+        starts = np.cumsum(counts) - counts
+        self._first = order[np.minimum(starts, len(order) - 1)]
+        self._empty = np.flatnonzero(counts == 0)
+        self._rounds = [(np.flatnonzero(counts > r), order[starts[counts > r] + r])
+                        for r in range(1, int(counts.max()))]
 
-    def cap_values(self, x_batch) -> np.ndarray:
-        cell_vals = self.ev.cell_values(x_batch)
-        out = np.zeros((len(self.caps), cell_vals.shape[1]), dtype=complex)
-        np.add.at(out, self.index, cell_vals)
+    def gather(self, cell_vals: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Writes the (caps, B) sums of the (cells, B) cell values to out."""
+        # the indices are valid; mode="raise" would copy through a buffer
+        np.take(cell_vals, self._first, axis=0, out=out, mode="clip")
+        out[self._empty] = 0.0
+        for caps, cells in self._rounds:
+            out[caps] += cell_vals[cells]
         return out
+
+    def total_and_caps(self, x_batch) -> np.ndarray:
+        """(1 + caps, B): E g on the batch, then the cap values, in one
+        buffer allocated once the cell values are in."""
+        cell_vals = self.ev.cell_values(x_batch)
+        buf = np.empty((1 + len(self.caps), len(x_batch)), dtype=complex)
+        np.sum(self.gather(cell_vals, buf[1:]), axis=0, out=buf[0])
+        return buf
 
 
 def _support_caps(field_in: AmplitudeField, level: int) -> list[DyadicSquare]:
@@ -223,12 +249,7 @@ def measure_linear(surface: SurfaceEvaluator, field_in: AmplitudeField,
     caps = _support_caps(field_in, m)
     ev = extension_evaluator(surface, field_in, _x_max(ball))
     groups = _CapGroups(ev, caps)
-
-    def series(x_batch):
-        vals = groups.cap_values(x_batch)
-        return np.vstack([vals.sum(axis=0)[None, :], vals])
-
-    ests = weighted_norm_batch(series, ball, [p] * (len(caps) + 1), sampler)
+    ests = weighted_norm_batch(groups.total_and_caps, ball, [p] * (len(caps) + 1), sampler)
     lhs = ests[0]
     cap_vals = np.array([e.value for e in ests[1:]])
     cap_ses = np.array([e.stderr or 0.0 for e in ests[1:]])
@@ -246,6 +267,16 @@ def measure_linear(surface: SurfaceEvaluator, field_in: AmplitudeField,
 
 # ---------------------------------------------------------------------------
 # bilinear measurements
+
+
+def _pair_rows(g1: _CapGroups, g2: _CapGroups, x_batch):
+    """(buf, caps1, caps2): a (1 + k1 + k2, B) buffer whose rows after the
+    first hold the cap values of both groups, and views of those rows."""
+    c1 = g1.ev.cell_values(x_batch)
+    c2 = g2.ev.cell_values(x_batch)
+    k1 = len(g1.caps)
+    buf = np.empty((1 + k1 + len(g2.caps), len(x_batch)), dtype=complex)
+    return buf, g1.gather(c1, buf[1:1 + k1]), g2.gather(c2, buf[1 + k1:])
 
 
 def _check_transverse(surface: SurfaceEvaluator, r1: DyadicSquare,
@@ -281,10 +312,9 @@ def measure_bilinear(surface: SurfaceEvaluator,
     k1, k2 = len(caps1), len(caps2)
 
     def series(x_batch):
-        v1 = g1.cap_values(x_batch)
-        v2 = g2.cap_values(x_batch)
-        lhs_row = np.sqrt(np.abs(v1.sum(axis=0) * v2.sum(axis=0)))
-        return np.vstack([lhs_row[None, :], v1, v2])
+        buf, v1, v2 = _pair_rows(g1, g2, x_batch)
+        buf[0] = np.sqrt(np.abs(v1.sum(axis=0) * v2.sum(axis=0)))
+        return buf
 
     ests = weighted_norm_batch(series, ball, [p] * (1 + k1 + k2), sampler)
     lhs = ests[0]
@@ -332,11 +362,11 @@ def measure_square_function(surface: SurfaceEvaluator,
     k1, k2 = len(caps1), len(caps2)
 
     def series(x_batch):
-        v1 = g1.cap_values(x_batch)
-        v2 = g2.cap_values(x_batch)
+        buf, v1, v2 = _pair_rows(g1, g2, x_batch)
         s1 = (np.abs(v1) ** 2).sum(axis=0)
         s2 = (np.abs(v2) ** 2).sum(axis=0)
-        return np.vstack([((s1 * s2) ** 0.25)[None, :], v1, v2])
+        buf[0] = (s1 * s2) ** 0.25
+        return buf
 
     half = p / 2 if np.isfinite(p) else np.inf
     ests = weighted_norm_batch(series, ball, [p] + [half] * (k1 + k2), sampler)
@@ -381,12 +411,8 @@ def measure_trivial(surface: SurfaceEvaluator, field_in: AmplitudeField,
         ball = measurement_ball(4, k_scale)
     ev = extension_evaluator(surface, field_in, _x_max(ball))
     groups = _CapGroups(ev, squares)
-
-    def series(x_batch):
-        vals = groups.cap_values(x_batch)
-        return np.vstack([vals.sum(axis=0)[None, :], vals])
-
-    ests = weighted_norm_batch(series, ball, [p] * (len(squares) + 1), sampler)
+    ests = weighted_norm_batch(groups.total_and_caps, ball, [p] * (len(squares) + 1),
+                               sampler)
     lhs = ests[0]
     vals = np.array([e.value for e in ests[1:]])
     ses = np.array([e.stderr or 0.0 for e in ests[1:]])
@@ -430,7 +456,10 @@ def parabola_reference(n_scale: float, p: float, sampler: Sampler,
 
     def series(x_batch):
         vals = line.interval_values(x_batch)
-        return np.vstack([vals.sum(axis=0)[None, :], vals])
+        buf = np.empty((n_caps + 1, len(x_batch)), dtype=complex)
+        np.sum(vals, axis=0, out=buf[0])
+        buf[1:] = vals
+        return buf
 
     ests = weighted_norm_batch(series, ball, [p] * (n_caps + 1), sampler)
     lhs = ests[0]
@@ -494,8 +523,11 @@ def curve_bilinear(curve: CurveEvaluator, i1, i2,
     def series(x_batch):
         v1 = line1.interval_values(x_batch)
         v2 = line2.interval_values(x_batch)
-        lhs_row = np.sqrt(np.abs(v1.sum(axis=0) * v2.sum(axis=0)))
-        return np.vstack([lhs_row[None, :], v1, v2])
+        buf = np.empty((1 + k1 + k2, len(x_batch)), dtype=complex)
+        buf[0] = np.sqrt(np.abs(v1.sum(axis=0) * v2.sum(axis=0)))
+        buf[1:1 + k1] = v1
+        buf[1 + k1:] = v2
+        return buf
 
     ps = [12.0] + [6.0] * (k1 + k2)
     ests = weighted_norm_batch(series, ball, ps, sampler)

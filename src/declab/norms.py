@@ -241,7 +241,7 @@ def weighted_norm_batch(evaluator: Callable[[np.ndarray], np.ndarray],
     nser = None
     s1 = s2 = None
     maxes = None
-    parr = None
+    finite_p = None
     tot = 0
     k = 0
     while tot < sampler.budget:
@@ -254,18 +254,21 @@ def weighted_norm_batch(evaluator: Callable[[np.ndarray], np.ndarray],
             nser = vals.shape[0]
             if len(ps) != nser:
                 raise ValueError("one exponent per series required")
-            parr = np.asarray(ps)[:, None]
+            finite_p = np.where(np.isfinite(ps), ps, 1.0)[:, None]
             s1 = np.zeros(nser)
             s2 = np.zeros(nser)
             maxes = np.zeros(nser)
-        if not np.all(np.isfinite(vals)):
+        top = vals.max(axis=1)          # NaN and inf propagate into the max
+        if not np.all(np.isfinite(top)):
             bad = np.argwhere(~np.isfinite(vals))
             raise PoisonedEstimateError(x[bad[0][1]], int(bad[0][0]))
-        finite_p = np.where(np.isfinite(parr), parr, 1.0)
-        powed = vals ** finite_p * iw[None, :]
-        s1 += powed.sum(axis=1)
-        s2 += (powed * powed).sum(axis=1)
-        maxes = np.maximum(maxes, vals.max(axis=1))
+        maxes = np.maximum(maxes, top)
+        # |F|^p w/q and its square, in place
+        np.power(vals, finite_p, out=vals)
+        vals *= iw
+        s1 += vals.sum(axis=1)
+        vals *= vals
+        s2 += vals.sum(axis=1)
         tot += n
         k += 1
     tail = ball.truncation_tail_fraction()

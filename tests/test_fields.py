@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from declab.fields import (AmplitudeField, LineEvaluator, extension_evaluator,
-                           extension_value)
+from declab.fields import (NODE_BLOCK, AmplitudeField, LineEvaluator, _cis,
+                           extension_evaluator, extension_value,
+                           nodes_for_cycles)
 from declab.geometry import QuadCoeffs, quad_surface, random_admissible
 from declab.grid import CapPartition, DyadicSquare
+from declab.norms import BallSpec, PoisonedEstimateError, Sampler, weighted_norm_batch
 
 SQUARES = quad_surface((1, 0, 0, 0, 0, 1))
 
@@ -198,3 +202,90 @@ def test_line_evaluator_matches_quadrature():
     got = line.total(x)[0]
     want = fresnel_1d(2.3, 7.9)
     assert abs(got - want) < 1e-9
+
+
+# -- the e(.) kernel ---------------------------------------------------------
+
+CIS_TOL = 1e-15
+
+
+def cis_error(ph):
+    """Largest deviation of _cis from long double cos/sin of the exactly
+    reduced phase 2 pi (ph - rint(ph))."""
+    got = _cis(ph)
+    x = np.asarray(ph, dtype=np.longdouble)
+    angle = 8 * np.arctan(np.longdouble(1)) * (x - np.rint(x))
+    err = np.maximum(np.abs(got.real - np.cos(angle)), np.abs(got.imag - np.sin(angle)))
+    return float(err.max(initial=0.0))
+
+
+def test_cis_large_phases_both_signs():
+    rng = np.random.default_rng(23)
+    uniform = rng.uniform(-1e6, 1e6, 100_000)
+    spread = rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-3, 6, 50_000)
+    assert cis_error(uniform) <= CIS_TOL
+    assert cis_error(spread) <= CIS_TOL
+
+
+def test_cis_reduction_boundaries():
+    offsets = np.array([0.0, 7.0, -5.0, 4321.0, -98765.0, 999_999.0])[:, None]
+    steps = np.arange(-2048, 2049) / 1024.0
+    halves = (np.arange(-2048, 2048) + 0.5) / 1024.0
+    for grid in (steps, halves):
+        ph = (offsets + grid).ravel()
+        for q in (ph, np.nextafter(ph, np.inf), np.nextafter(ph, -np.inf)):
+            assert cis_error(q) <= CIS_TOL
+    half_integers = np.concatenate([np.arange(-1000, 1000) + 0.5, [123456.5, -999999.5]])
+    assert cis_error(half_integers) <= CIS_TOL
+    np.testing.assert_allclose(_cis(half_integers).real, -1.0, rtol=0, atol=CIS_TOL)
+
+
+def test_cis_shapes_and_layouts():
+    zero_d = _cis(np.float64(0.125))
+    assert zero_d.shape == ()
+    assert abs(zero_d - np.exp(0.25j * np.pi)) <= CIS_TOL
+    assert _cis(0.25).shape == ()
+    assert _cis(np.empty(0)).shape == (0,)
+    assert _cis(np.empty((3, 0))).shape == (3, 0)
+    a = np.random.default_rng(29).uniform(-1e4, 1e4, size=(64, 33))
+    for view in (a[:, ::3], a.T, a[::-2]):
+        got = _cis(view)
+        assert got.shape == view.shape
+        np.testing.assert_array_equal(got, _cis(np.ascontiguousarray(view)))
+        assert cis_error(view) <= CIS_TOL
+
+
+def test_cis_nonfinite_phases_give_nan():
+    got = _cis(np.array([np.nan, np.inf, -np.inf, 0.0]))
+    assert np.all(np.isnan(got.real[:3])) and np.all(np.isnan(got.imag[:3]))
+    assert got[3] == 1.0
+
+
+def test_nan_phase_poisons_the_norm_estimate():
+    line = LineEvaluator([(0.0, 0.5), (0.5, 1.0)], None,
+                         lambda t, X: np.full((len(t), len(X)), np.nan),
+                         x_max=4.0, phase_derivative_bound=3.0)
+    with pytest.raises(PoisonedEstimateError):
+        weighted_norm_batch(line.interval_values, BallSpec.at_origin(2, 4.0), [6.0, 6.0],
+                            Sampler(budget=1000, seed=0))
+
+
+def test_tensor_cell_memory_stays_within_one_node_block():
+    # One cell of 64 x 64 tensor nodes.  Its whole phase table with the
+    # complex exponential and scratch, 40 bytes per node-sample, would be 16x
+    # the bound, which allows as much for one block of NODE_BLOCK nodes.
+    field = AmplitudeField.from_function(0, lambda t, s: np.ones_like(t, dtype=complex))
+    n1 = nodes_for_cycles(5.0 * SQUARES.phase_derivative_bound())
+    batch = 1024
+    bound = 40 * NODE_BLOCK * batch
+    assert 40 * n1 ** 2 * batch >= 10 * bound
+    ev = extension_evaluator(SQUARES, field, 5.0)
+    x = np.random.default_rng(31).uniform(-5.0, 5.0, size=(batch, 4))
+    tracemalloc.start()
+    try:
+        vals = ev.cell_values(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (1, batch)
+    assert peak < bound

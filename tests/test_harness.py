@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from declab.fields import AmplitudeField
+from declab.fields import AmplitudeField, extension_evaluator
 from declab.geometry import moment_curve, quad_surface
-from declab.grid import DyadicSquare
+from declab.grid import CapPartition, DyadicSquare
 from declab.harness import (FLAT_LINE_COEFFS, SEPARABLE_COEFFS,
-                            AllCapsEmptyError, DecouplingReport,
+                            AllCapsEmptyError, DecouplingReport, _CapGroups,
                             NonTransverseError, OverlappingSquaresError,
                             ScenarioSpec, curve_bilinear,
                             curve_product_identity_residual, emit_plotdata,
@@ -307,3 +307,33 @@ def test_run_cell_dispatch_all_kinds():
         assert isinstance(rep, DecouplingReport)
         assert rep.kind == kind
         assert np.isfinite(rep.ratio_lp)
+
+
+def test_cap_groups_match_scatter_add_bit_for_bit():
+    # 16 cells per cap over three caps and one cap without cells: the gather
+    # must give np.add.at's sums exactly, and zeros for the empty cap
+    cells = [c for c in CapPartition.full(3) if c.i < 4 or c.j < 4]
+    field = AmplitudeField.random_phase(3, seed=4, support=cells)
+    caps = list(CapPartition.full(1))
+    ev = extension_evaluator(SURF, field, 6.0)
+    groups = _CapGroups(ev, caps)
+    x = np.random.default_rng(8).uniform(-6.0, 6.0, size=(64, 4))
+    want = np.zeros((len(caps), len(x)), dtype=complex)
+    np.add.at(want, groups.index, ev.cell_values(x))
+    got = groups.total_and_caps(x)
+    np.testing.assert_array_equal(got[1:], want)
+    np.testing.assert_array_equal(got[0], want.sum(axis=0))
+    empty = [1 + k for k, c in enumerate(caps) if (c.i, c.j) == (1, 1)]
+    assert np.all(got[empty] == 0)
+
+
+def test_default_and_refined_quadrature_agree_off_origin():
+    # the quadrature must be resolved for samples around the ball's center,
+    # not only for |x| up to the radius
+    ball = measurement_ball(4, 16, center=(200.0, 0.0, 200.0, 0.0))
+    field = AmplitudeField.constant(2)
+    base = measure_linear(SURF, field, 16, 6.0, small_sampler(seed=3, budget=2048), ball=ball)
+    fine = measure_linear(SURF, field.refine(4), 16, 6.0, small_sampler(seed=3, budget=2048),
+                          ball=ball)
+    assert base.ratio_lp == pytest.approx(fine.ratio_lp, rel=1e-9)
+    assert base.lhs.value == pytest.approx(fine.lhs.value, rel=1e-9)
