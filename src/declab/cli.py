@@ -92,7 +92,33 @@ def load_config(path: str) -> dict:
     _check_keys(cfg.get("sampler", {}), _SAMPLER_KEYS, "sampler")
     _check_keys(cfg.get("ball", {}), _BALL_KEYS, "ball")
     _check_keys(cfg.get("outputs", {}), _OUTPUT_KEYS, "outputs")
+    _check_values(cfg)
     return cfg
+
+
+def _check_values(cfg: dict):
+    """Build every cell's scenario (and overrides) and the sampler, so that a
+    value the harness rejects fails here and not in the middle of a run."""
+    try:
+        _sampler_from(cfg, cfg["seed"])
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"sampler: {exc}") from exc
+    try:
+        cells = _expand_cells(cfg)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"scenario: {exc}") from exc
+    for cell, spec, raw in cells:
+        where = f"scenario {cell.scenario_index} ({cell.kind}, N={spec.n_scale:g})"
+        if not spec.p >= 1.0:
+            raise ConfigError(f"{where}: p must be >= 1, got {spec.p:g}")
+        try:
+            harness.scenario(spec)
+            if "surface" in raw:
+                _build_surface(raw["surface"])
+            if "field" in raw:
+                _build_field(raw["field"], cap_level_for(spec.n_scale), spec.seed)
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _build_surface(spec: dict):

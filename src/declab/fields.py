@@ -5,10 +5,16 @@ by per-cell tensor Gauss-Legendre quadrature).  Extension values
 E g(x) = int g(t,s) e(x . psi(t,s)) dt ds, with e(z) = exp(2 pi i z), are
 computed by direct oscillatory summation; node counts scale with the phase
 variation across a cell at the largest frequency requested, which keeps the
-quadrature converged for every sample the norm estimators draw.  Every
-engine evaluates e(.) with one table-driven kernel, `_cis`, and sums
-quadrature nodes NODE_BLOCK at a time, so temporaries stay bounded whatever
-the node count.
+quadrature converged for every sample the norm estimators draw.
+
+Engines: "atomic" for point masses; for continuous fields with a separable
+profile g1(t) g2(s), "separable" when the phase splits as f(t) + g(s) and
+"quadratic" on any other quadratic surface (one cell-independent n x n e(.)
+table per sample, shared by every cell); "tensor", the generic per-cell n^2
+sum, for general profiles and other surfaces.  Every engine evaluates e(.)
+with one table-driven kernel, `_cis`.  Node sums take NODE_BLOCK nodes at a
+time and the quadratic engine a block of samples sized by
+QUAD_BLOCK_ELEMENTS, so temporaries stay bounded whatever the node count.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .geometry import SurfaceEvaluator
+from .geometry import QuadSurface, SurfaceEvaluator
 from .grid import CapPartition, DyadicSquare, square_at
 
 TWO_PI_I = 2j * np.pi
@@ -39,6 +45,10 @@ _CIS_BLOCK = 16384
 # Quadrature nodes per phase table: node sums hold at most NODE_BLOCK x batch
 # phases at a time, whatever the node count of a cell.
 NODE_BLOCK = 256
+# Table elements per sample block of the quadratic engine: a block holds
+# QUAD_BLOCK_ELEMENTS // (n * max(n, cells)) samples, so its n x n e(.) table
+# and its (cells, n) tables stay bounded whatever the node count n.
+QUAD_BLOCK_ELEMENTS = 2 ** 17
 
 _leg_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -344,9 +354,15 @@ class ExtensionEvaluator:
             return
         self.cells = amp_field.cells
         split = surface.phase_split()
-        if split is not None and amp_field.separable_profile:
+        # an empty field (a valid zero field) has nothing to build and takes
+        # the tensor path
+        factorized = amp_field.separable_profile and bool(self.cells)
+        if split is not None and factorized:
             self._mode = "separable"
             self._build_separable(split)
+        elif isinstance(surface, QuadSurface) and factorized:
+            self._mode = "quadratic"
+            self._build_quadratic()
         else:
             self._mode = "tensor"
             self._build_tensor()
@@ -388,6 +404,68 @@ class ExtensionEvaluator:
         self._cell_rows = np.array([self._ti_index[c.i] for c in f.cells])
         self._cell_cols = np.array([self._sj_index[c.j] for c in f.cells])
 
+    def _build_quadratic(self):
+        # Cells share one level, so one local Gauss grid u = v (offsets from
+        # the cell corner) and weights w serve every cell.  With
+        # x.psi(t0+u, s0+v) = x.psi(t0, s0) + alpha u + beta v
+        #                     + A u^2 + 2B uv + C v^2
+        # only alpha = x1 + 2A t0 + 2B s0 and beta = x2 + 2B t0 + 2C s0
+        # depend on the cell, both linear in (x3, x4) with per-cell slopes.
+        f = self.field
+        a = self.surface.coeffs
+        side = f.cells[0].side
+        n1 = nodes_for_cycles(self.x_max * self._phase_bound() * side, f.node_factor)
+        xg, wg = _gauss(n1)
+        u = side / 2 * (xg + 1.0)
+        w = side / 2 * wg
+        t0 = np.array([c.bounds[0] for c in f.cells])
+        s0 = np.array([c.bounds[2] for c in f.cells])
+        g1 = f.g1 if f.g1 is not None else _ones
+        g2 = f.g2 if f.g2 is not None else _ones
+        self._q_u, self._q_uu, self._q_uv = u, u * u, np.outer(u, u)
+        self._q_alpha = np.stack([2 * (a.a1 * t0 + a.a2 * s0), 2 * (a.a4 * t0 + a.a5 * s0)])
+        self._q_amp_t = (f.coeffs[:, None] * w
+                         * np.asarray(g1(np.add.outer(t0, u)), dtype=complex))
+        # Cells with the same beta slopes and s-amplitude share one Vs table
+        # (every cell of a column strip, on a surface with a3 = a6 = 0).
+        beta = np.stack([2 * (a.a2 * t0 + a.a3 * s0), 2 * (a.a5 * t0 + a.a6 * s0)])
+        amp_s = w * np.asarray(g2(np.add.outer(s0, u)), dtype=complex)
+        keys = np.column_stack([beta.T, amp_s.real, amp_s.imag])
+        _, first, self._q_vs_of_cell = np.unique(keys, axis=0, return_index=True,
+                                                 return_inverse=True)
+        self._q_beta, self._q_amp_s = beta[:, first], amp_s[first]
+        self._q_corner = self.surface.value(t0, s0)            # (cells, 4)
+        self._q_step = max(1, QUAD_BLOCK_ELEMENTS // (n1 * max(n1, len(f.cells))))
+
+    def _quadratic_block(self, xb: np.ndarray) -> np.ndarray:
+        """(samples, cells) values coeff e(x.psi(c)) Ut^T E Vs, with one n x n
+        table E = e(A u^2 + 2B uv + C v^2) per sample, shared by every cell,
+        and per cell Ut = amp_t e(alpha u), Vs = amp_s e(beta v).  E Vs is
+        one batched matmul over the distinct Vs tables.  Each table is
+        dropped as soon as it is used, so at most three are alive."""
+        a = self.surface.coeffs
+        u = self._q_u
+        A = a.a1 * xb[:, 2] + a.a4 * xb[:, 3]
+        B = a.a2 * xb[:, 2] + a.a5 * xb[:, 3]
+        C = a.a3 * xb[:, 2] + a.a6 * xb[:, 3]
+        ph = np.multiply.outer(2.0 * B, self._q_uv)
+        ph += np.multiply.outer(A, self._q_uu)[:, :, None]
+        ph += np.multiply.outer(C, self._q_uu)[:, None, :]
+        E = _cis(ph)                                            # (b, n, n)
+        del ph
+        beta = xb[:, 1, None] + xb[:, 2:] @ self._q_beta
+        vs = _cis(np.multiply.outer(beta, u))                   # (b, distinct, n)
+        vs *= self._q_amp_s
+        ev = E @ vs.transpose(0, 2, 1)                          # (b, n, distinct)
+        del E, vs
+        alpha = xb[:, 0, None] + xb[:, 2:] @ self._q_alpha
+        ut = _cis(np.multiply.outer(alpha, u))                  # (b, cells, n)
+        ut *= self._q_amp_t
+        ut *= ev.transpose(0, 2, 1)[:, self._q_vs_of_cell]
+        total = ut.sum(axis=-1)                                 # (b, cells)
+        total *= _cis(xb @ self._q_corner.T)
+        return total
+
     def _build_tensor(self):
         f = self.field
         bound = self._phase_bound()
@@ -419,6 +497,11 @@ class ExtensionEvaluator:
             fs = _interval_sums(self._s_nodes, self._s_amp, self._part_s, X)
             return self.field.coeffs[:, None] * ft[self._cell_rows] * fs[self._cell_cols]
         out = np.empty((len(self.field.cells), X.shape[0]), dtype=complex)
+        if self._mode == "quadratic":
+            step = self._q_step
+            for lo in range(0, X.shape[0], step):
+                out[:, lo:lo + step] = self._quadratic_block(X[lo:lo + step]).T
+            return out
         for k, (tn, sn, wn) in enumerate(self._tensor_nodes):
             amp = self.field.amplitude_on_cell(k, tn, sn) * wn
             psi = self.surface.value(tn, sn)

@@ -350,37 +350,6 @@ def curve_lift(curve: CurveEvaluator, i1, i2) -> CurveLiftSurface:
     return CurveLiftSurface(curve, i1, i2)
 
 
-class CustomSurface(SurfaceEvaluator):
-    """Surface from a user callable, derivatives by finite differences."""
-
-    kind = "custom"
-
-    def __init__(self, func: Callable, step: float = 1e-4):
-        self._func = func
-        self._step = step
-
-    def value(self, t, s):
-        return np.asarray(self._func(np.asarray(t, float), np.asarray(s, float)))
-
-    def partial(self, t, s, which):
-        h = self._step
-        f = self.value
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        if which == "t":
-            return (f(t + h, s) - f(t - h, s)) / (2 * h)
-        if which == "s":
-            return (f(t, s + h) - f(t, s - h)) / (2 * h)
-        if which == "tt":
-            return (f(t + h, s) - 2 * f(t, s) + f(t - h, s)) / h ** 2
-        if which == "ss":
-            return (f(t, s + h) - 2 * f(t, s) + f(t, s - h)) / h ** 2
-        if which == "ts":
-            return (f(t + h, s + h) - f(t + h, s - h) - f(t - h, s + h)
-                    + f(t - h, s - h)) / (4 * h ** 2)
-        raise ValueError(f"unknown partial {which!r}")
-
-
 # ---------------------------------------------------------------------------
 # nondegeneracy and normal forms
 

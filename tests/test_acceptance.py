@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see one PASS/FAIL line per
 criterion.  Budgets are sized for a single-core box; the full module runs
-in about 30 seconds on a 2-core x86-64 box (numpy 2.4).
+in about 20 seconds on a 2-core x86-64 box (numpy 2.4).
 """
 
 import math

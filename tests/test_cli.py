@@ -235,3 +235,26 @@ def test_numeric_poisoning_exit(tmp_path, monkeypatch):
     write_config(cfg_path)
     rc = main(["measure", "--config", str(cfg_path)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("scenario, sampler", [
+    ({"kind": "indicator", "N": [0]}, None),
+    ({"kind": "indicator", "N": [-4]}, None),
+    ({"kind": "indicator", "N": [16], "p": [0.5]}, None),
+    ({"kind": "strip", "K": 3}, None),
+    ({"kind": "bilinear-pair", "N": [16], "nu": 0.9}, None),
+    ({"kind": "flat-line", "N": [16]}, {"strategy": "mc", "budget": 256, "seed": 1}),
+], ids=["N=0", "N=-4", "p=0.5", "strip-K=3", "nu=0.9", "budget=256"])
+def test_bad_value_rejected_at_load(tmp_path, capsys, scenario, sampler):
+    cfg_path = tmp_path / "run.json"
+    outputs = {"report": str(tmp_path / "report.json"), "csv": str(tmp_path / "rows.csv")}
+    overrides = {"scenarios": [scenario], "outputs": outputs}
+    if sampler is not None:
+        overrides["sampler"] = sampler
+    write_config(cfg_path, **overrides)
+    with pytest.raises(ConfigError):
+        load_config(str(cfg_path))
+    rc = main(["measure", "--config", str(cfg_path)])
+    assert rc == EXIT_SCHEMA
+    assert "config error" in capsys.readouterr().err
+    assert not any(tmp_path.joinpath(name).exists() for name in ("report.json", "rows.csv"))

@@ -1,14 +1,17 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from declab.fields import (NODE_BLOCK, AmplitudeField, LineEvaluator, _cis,
-                           extension_evaluator, extension_value,
-                           nodes_for_cycles)
-from declab.geometry import QuadCoeffs, quad_surface, random_admissible
+from declab.fields import (NODE_BLOCK, QUAD_BLOCK_ELEMENTS, AmplitudeField,
+                           LineEvaluator, _cis, extension_evaluator,
+                           extension_value, nodes_for_cycles)
+from declab.geometry import (QuadCoeffs, curve_lift, moment_curve, quad_surface,
+                             random_admissible)
 from declab.grid import CapPartition, DyadicSquare
+from declab.harness import FLAT_LINE_COEFFS, X_MAX_TAIL, measurement_ball
 from declab.norms import BallSpec, PoisonedEstimateError, Sampler, weighted_norm_batch
 
 SQUARES = quad_surface((1, 0, 0, 0, 0, 1))
@@ -288,4 +291,110 @@ def test_tensor_cell_memory_stays_within_one_node_block():
     finally:
         tracemalloc.stop()
     assert vals.shape == (1, batch)
+    assert peak < bound
+
+
+# -- the quadratic engine ------------------------------------------------------
+
+FLAT = quad_surface(FLAT_LINE_COEFFS)         # not phase-separable (a5 = 0.5)
+
+
+def g1(t):
+    return 1.0 + 0.5 * t * t + 0.25j * t
+
+
+def g2(s):
+    return np.exp(1.5j * s) * (2.0 - s)
+
+
+def generic_copy(field):
+    """The same amplitude with a trivial general profile, which forces the
+    generic tensor path."""
+    return replace(field, g_extra=lambda t, s: np.ones(np.broadcast_shapes(
+        np.shape(t), np.shape(s)), dtype=complex))
+
+
+def strip_field(k):
+    lev = int(np.log2(k))
+    return AmplitudeField.constant(lev, support=[DyadicSquare(lev, 0, j) for j in range(k)])
+
+
+def test_quadratic_engine_selection():
+    for f in (AmplitudeField.constant(2), AmplitudeField.random_phase(2, seed=4),
+              AmplitudeField.separable(2, g1, g2), strip_field(8)):
+        assert extension_evaluator(FLAT, f, 4.0)._mode == "quadratic"
+    general = AmplitudeField.from_function(2, lambda t, s: np.ones_like(t, dtype=complex))
+    assert extension_evaluator(FLAT, general, 4.0)._mode == "tensor"
+    assert extension_evaluator(FLAT, generic_copy(strip_field(8)), 4.0)._mode == "tensor"
+    lift = curve_lift(moment_curve(), (0.0, 0.25), (0.75, 1.0))
+    assert extension_evaluator(lift, AmplitudeField.constant(2), 4.0)._mode != "quadratic"
+    assert extension_evaluator(SQUARES, AmplitudeField.constant(2), 4.0)._mode == "separable"
+
+
+def test_empty_continuous_field_evaluates_to_nothing():
+    empty = AmplitudeField.constant(2, support=[DyadicSquare(2, 0, 0)]).restrict(
+        DyadicSquare(1, 1, 1))
+    assert not empty.cells
+    for surface in (SQUARES, FLAT):
+        ev = extension_evaluator(surface, empty, 4.0)
+        assert ev.n_cells == 0
+        assert ev.cell_values(np.ones((3, 4))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("x_max", [4.0, 1e3])
+@pytest.mark.parametrize("surface, support", [
+    (quad_surface(QuadCoeffs(0.7, -0.3, 0.4, 0.2, 0.5, -0.6)),
+     [DyadicSquare(5, i, j) for i, j in ((3, 7), (17, 2), (30, 30), (12, 25))]),
+    # one column off the origin row: every cell has the same beta slopes
+    # and so shares one Vs table unless its s-amplitude differs
+    (FLAT, [DyadicSquare(5, 9, j) for j in (0, 4, 5, 31)]),
+], ids=["general", "flat-column"])
+def test_quadratic_engine_matches_tensor_path(x_max, surface, support):
+    rng = np.random.default_rng(37)
+    fields = (AmplitudeField.random_phase(5, seed=8, support=support),
+              AmplitudeField.separable(5, g1, g2, support=support).scaled(0.5 - 2j))
+    x = rng.uniform(-x_max, x_max, size=(16, 4))
+    x[0] = [x_max, -x_max, x_max, -x_max]
+    for f in fields:
+        ev = extension_evaluator(surface, f, x_max)
+        assert ev._mode == "quadratic"
+        got = ev.cell_values(x)
+        want = extension_evaluator(surface, generic_copy(f), x_max).cell_values(x)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_quadratic_engine_default_and_refined_quadrature_agree():
+    # the benchmark's quadrature self-check on the strip K=8 cell: points
+    # inside the ball that holds all but X_MAX_TAIL of the sampling mass
+    ball = measurement_ball(4, 8.0)
+    x_max = ball.quantile_radius(X_MAX_TAIL)
+    rng = np.random.default_rng(41)
+    v = rng.standard_normal((16, 4))
+    x = v * (x_max * rng.random(16) ** 0.25 / np.linalg.norm(v, axis=1))[:, None]
+    f = strip_field(8)
+    base = extension_evaluator(FLAT, f, x_max).total(x)
+    fine = extension_evaluator(FLAT, f.refine(2), x_max).total(x)
+    assert np.abs(base - fine).max() <= 1e-8 * np.abs(fine).max()
+
+
+def test_quadratic_engine_memory_stays_within_one_sample_block():
+    # A block holds at most three complex tables of QUAD_BLOCK_ELEMENTS
+    # elements (16 bytes each) and the e(.) kernel's scratch; the bound allows
+    # 80 bytes per element.  The whole (batch, n, n) table of the refined
+    # strip K=8 cell would be more than 10x that.
+    f = strip_field(8).refine(2)
+    x_max = measurement_ball(4, 8.0).quantile_radius(X_MAX_TAIL)
+    n1 = nodes_for_cycles(x_max * FLAT.phase_derivative_bound() / 8, 2)
+    batch = 2048
+    bound = 80 * QUAD_BLOCK_ELEMENTS
+    assert 16 * batch * n1 ** 2 >= 10 * bound
+    ev = extension_evaluator(FLAT, f, x_max)
+    x = np.random.default_rng(43).uniform(-x_max, x_max, size=(batch, 4))
+    tracemalloc.start()
+    try:
+        vals = ev.cell_values(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (8, batch)
     assert peak < bound
