@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -121,11 +122,13 @@ def test_exponents_subcommand(capsys):
     assert payload["contradiction"]["closes"]
 
 
-def test_smoke_subcommand_fast():
+def test_smoke_subcommand_fast(capsys):
     t0 = time.time()
     rc = main(["smoke"])
     assert rc == EXIT_OK
     assert time.time() - t0 < 10.0
+    assert re.search(r"^\[info\] oscillatory kernel throughput ~ \d+M node-samples/s$",
+                     capsys.readouterr().out, re.MULTILINE)
 
 
 def test_slopes_and_plotdata_outputs(tmp_path):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from declab import fields as fields_module
 from declab.fields import (NODE_BLOCK, QUAD_BLOCK_ELEMENTS, AmplitudeField,
-                           LineEvaluator, _cis, extension_evaluator,
-                           extension_value, nodes_for_cycles)
+                           LineEvaluator, _cis, _gauss, _interval_sums,
+                           extension_evaluator, extension_value,
+                           nodes_for_cycles)
 from declab.geometry import (QuadCoeffs, curve_lift, moment_curve, quad_surface,
                              random_admissible)
 from declab.grid import CapPartition, DyadicSquare
@@ -398,3 +400,155 @@ def test_quadratic_engine_memory_stays_within_one_sample_block():
         tracemalloc.stop()
     assert vals.shape == (8, batch)
     assert peak < bound
+
+
+# -- the separable engine's cap-shift recurrence --------------------------------
+
+# level-3 cells whose rows (1, 3) and columns (0, 2, 5) have gaps and whose
+# rows do not start at 0
+GAPPED = [DyadicSquare(3, 1, 0), DyadicSquare(3, 3, 2), DyadicSquare(3, 3, 5)]
+
+
+def direct_cell_values(surface, field, x_max, x):
+    """Cell values with both 1-D factors summed by `_interval_sums` from the
+    surface's own phase_split() tables, on the evaluator's nodes."""
+    part_t, part_s = surface.phase_split()
+    side = field.cells[0].side
+    n1 = nodes_for_cycles(x_max * surface.phase_derivative_bound() * side,
+                          field.node_factor)
+    xg, wg = _gauss(n1)
+    u, w = side / 2 * (xg + 1.0), side / 2 * wg
+
+    def factor(idx, g, part):
+        rows = np.array(sorted(set(idx)))
+        nodes = np.add.outer(rows * side, u)
+        amp = (g(nodes) if g is not None else np.ones(nodes.shape)) * w
+        sums = _interval_sums(nodes, amp.astype(complex), part, x)
+        return sums[np.searchsorted(rows, idx)]
+
+    ft = factor([c.i for c in field.cells], field.g1, part_t)
+    fs = factor([c.j for c in field.cells], field.g2, part_s)
+    return field.coeffs[:, None] * ft * fs
+
+
+@pytest.mark.parametrize("x_max, batch", [(4.0, 37), (4.0, 1), (1e3, 700), (1e3, 1)])
+def test_shift_recurrence_matches_direct_interval_sums(x_max, batch):
+    # at x_max = 1e3 a cell has more than NODE_BLOCK nodes, and a batch of
+    # 700 is not a multiple of any sample block
+    surface = quad_surface((0.9, 0, -0.3, 0.6, 0, 1.1))
+    n1 = nodes_for_cycles(x_max * surface.phase_derivative_bound() / 8)
+    assert (n1 > NODE_BLOCK) == (x_max > 100)
+    rng = np.random.default_rng(47)
+    x = rng.uniform(-x_max, x_max, size=(batch, 4))
+    if batch > 1:
+        # alone, the corner's values are cancellations of about 1e-8 of the
+        # cell area, below the rounding of either sum at 1e-12 of their size
+        x[0] = [x_max, -x_max, x_max, -x_max]
+    fields = (AmplitudeField.constant(3, 0.5 - 2j, support=GAPPED),
+              AmplitudeField.random_phase(3, seed=9, support=GAPPED),
+              AmplitudeField.separable(3, g1, g2, support=GAPPED),
+              AmplitudeField.separable(3, g1, g2))
+    for f in fields:
+        ev = extension_evaluator(surface, f, x_max)
+        assert ev._mode == "separable"
+        got = ev.cell_values(x)
+        want = direct_cell_values(surface, f, x_max, x)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_curve_lift_keeps_the_direct_interval_sums(monkeypatch):
+    def no_shift(*args):
+        raise AssertionError("a curve lift is not quadratic")
+
+    monkeypatch.setattr(fields_module, "_shift_sums", no_shift)
+    lift = curve_lift(moment_curve(), (0.0, 0.25), (0.75, 1.0))
+    f = AmplitudeField.separable(3, g1, g2, support=[
+        DyadicSquare(3, 0, 6), DyadicSquare(3, 1, 7), DyadicSquare(3, 1, 6)])
+    x = np.random.default_rng(53).uniform(-6.0, 6.0, size=(9, 4))
+    ev = extension_evaluator(lift, f, 6.0)
+    assert ev._mode == "separable"
+    got = ev.cell_values(x)
+    want = extension_evaluator(lift, generic_copy(f), 6.0).cell_values(x)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_separable_engine_default_and_refined_quadrature_agree():
+    # the benchmark's quadrature self-check on the indicator N=256 cell
+    ball = measurement_ball(4, 256.0)
+    x_max = ball.quantile_radius(X_MAX_TAIL)
+    rng = np.random.default_rng(59)
+    v = rng.standard_normal((16, 4))
+    x = v * (x_max * rng.random(16) ** 0.25 / np.linalg.norm(v, axis=1))[:, None]
+    f = AmplitudeField.constant(4)
+    base = extension_evaluator(SQUARES, f, x_max).total(x)
+    fine = extension_evaluator(SQUARES, f.refine(2), x_max).total(x)
+    assert np.abs(base - fine).max() <= 1e-8 * np.abs(fine).max()
+
+
+def longdouble_factor(rows, h, u, amp, lin, quad):
+    """sum_j amp[k, j] e(lin t + quad t^2) at t = rows[k] h + u[j], with the
+    phase, its reduction mod 1 and the sum in long double; cos and sin of
+    the reduced angle (|angle| <= pi) are taken in double, within 1e-16."""
+    lin, quad = lin.astype(np.longdouble), quad.astype(np.longdouble)
+    out = []
+    for k, r in enumerate(rows):
+        t = np.longdouble(r) * np.longdouble(h) + u.astype(np.longdouble)
+        ph = np.multiply.outer(t, lin) + np.multiply.outer(t * t, quad)
+        ang = 2 * np.pi * (ph - np.rint(ph)).astype(float)
+        a = amp[k].astype(np.clongdouble)[:, None]
+        out.append((a * (np.cos(ang) + 1j * np.sin(ang))).sum(axis=0))
+    return np.array(out)
+
+
+def test_shift_recurrence_drift_over_128_rows():
+    # 128 rows at 32 points: the geometry of an N=16384 cell.  The
+    # recurrence is never re-seeded, so its rounding grows along the rows;
+    # the bound was fixed at 1e-10 of max |value| before measuring.
+    lev, x_max = 7, measurement_ball(4, 16384.0).quantile_radius(X_MAX_TAIL)
+    f = AmplitudeField.separable(lev, g1, g2,
+                                 support=[DyadicSquare(lev, i, 3) for i in range(128)])
+    x = np.random.default_rng(61).uniform(-x_max, x_max, size=(32, 4))
+    ev = extension_evaluator(SQUARES, f, x_max)
+    got = ev.cell_values(x)
+    side = 2.0 ** -lev
+    n1 = nodes_for_cycles(x_max * SQUARES.phase_derivative_bound() * side)
+    assert n1 > 4 * NODE_BLOCK
+    xg, wg = _gauss(n1)
+    u, w = side / 2 * (xg + 1.0), side / 2 * wg
+    rows = np.arange(128)
+    ft = longdouble_factor(rows, side, u, g1(np.add.outer(rows * side, u)) * w,
+                           x[:, 0], x[:, 2])
+    fs = longdouble_factor([3], side, u, g2(3 * side + u)[None] * w, x[:, 1], x[:, 3])
+    want = (ft * fs).astype(complex)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_separable_engine_memory_stays_within_one_sample_block():
+    # Bounds fixed beforehand.  A sample block holds P and Z (together
+    # QUAD_BLOCK_ELEMENTS complex elements) and the float phase tables that
+    # build them: 48 bytes per budget element allows both and the e(.)
+    # kernel's scratch.  A factor returns (rows, batch) sums and makes the
+    # corner phases and their e(.) of that shape: 48 bytes per row-sample.
+    # The cell values add the (cells, batch) result and one gathered factor.
+    # P and Z of every row at once would be more than 10x the factor bound.
+    f = AmplitudeField.constant(4)
+    x_max = measurement_ball(4, 256.0).quantile_radius(X_MAX_TAIL)
+    batch, rows, cells = 4096, 16, 256
+    block = 48 * QUAD_BLOCK_ELEMENTS
+    n1 = nodes_for_cycles(x_max * SQUARES.phase_derivative_bound() / 16)
+    assert 32 * rows * n1 * batch >= 10 * (block + 48 * rows * batch)
+    ev = extension_evaluator(SQUARES, f, x_max)
+    x = np.random.default_rng(67).uniform(-x_max, x_max, size=(batch, 4))
+    tracemalloc.start()
+    try:
+        ft = ev._factors[0](x)
+        _, factor_peak = tracemalloc.get_traced_memory()
+        del ft
+        tracemalloc.reset_peak()
+        vals = ev.cell_values(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (cells, batch)
+    assert factor_peak < block + 48 * rows * batch
+    assert peak < block + 48 * 2 * rows * batch + 32 * cells * batch

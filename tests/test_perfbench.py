@@ -1,6 +1,6 @@
 """Smoke runs of the benchmark, so that it keeps working as the package
-changes: short config-mix and strip runs in a temporary copy of the
-checkout."""
+changes: short config-mix, strip and indicator runs in a temporary copy of
+the checkout."""
 
 import json
 import shutil
@@ -33,3 +33,9 @@ def test_strip_benchmark_smoke(tmp_path):
     # the strip cells run the quadratic engine, and every run checks it
     # against the 2x refined quadrature
     smoke_run(tmp_path, "strip")
+
+
+def test_indicator_benchmark_smoke(tmp_path):
+    # the indicator cells run the separable engine's cap-shift recurrence,
+    # and every run checks it against the 2x refined quadrature
+    smoke_run(tmp_path, "indicator")
