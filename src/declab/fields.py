@@ -16,8 +16,12 @@ separable engine's 1-D interval factors come from a cap-shift recurrence
 (`_shift_sums`): interval r+1's e(.) node table is interval r's times one
 step table, so a factor over `rows` intervals of n nodes takes 2n + rows e(.)
 calls per sample instead of rows n; over 128 intervals it stays within
-1.6e-12 of a long-double reference (direct sums: 4.5e-13).  Every engine
-evaluates e(.) with one table-driven kernel, `_cis`.  Node sums take
+1.6e-12 of a long-double reference (direct sums: 4.5e-13).  Atoms whose
+surface points form an exact arithmetic progression (tested with equality,
+no tolerance) have the phase c0 + k c1, and a two-level split
+e(c0 + k c1) = e(j b c1) e(c0 + i c1), k = j b + i, b = ceil(sqrt(n)), takes
+b + ceil(n/b) e(.) calls per sample instead of n, with no recurrence.
+Every engine evaluates e(.) with one table-driven kernel, `_cis`.  Node sums take
 NODE_BLOCK nodes at a time, and the quadratic engine and the recurrence a
 block of samples sized by QUAD_BLOCK_ELEMENTS, so temporaries stay bounded
 whatever the node count.
@@ -25,6 +29,7 @@ whatever the node count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -174,6 +179,49 @@ def _shift_sums(rows: np.ndarray, h: float, u: np.ndarray, amps: np.ndarray,
     return out
 
 
+def _progression_split(phi: np.ndarray) -> int | None:
+    """The block length b = ceil(sqrt(n)) of the two-level split when the n
+    rows of phi form an exact arithmetic progression, phi[k] = phi[0] +
+    k (phi[1] - phi[0]) with no tolerance, and the split takes fewer e(.)
+    calls than n; None otherwise."""
+    n = phi.shape[0]
+    if n < 2:
+        return None
+    b = math.isqrt(n - 1) + 1
+    if b + -(-n // b) >= n:
+        return None
+    k = np.arange(n, dtype=float)
+    if not np.array_equal(phi, phi[0] + k[:, None] * (phi[1] - phi[0])):
+        return None
+    return b
+
+
+def _progression_values(phi: np.ndarray, amps: np.ndarray, b: int,
+                        X: np.ndarray) -> np.ndarray:
+    """amps[k] e(x.phi[k]) for the rows of an exact progression (see
+    `_progression_split`): (n, B).  The phase is c0 + k c1 with c0 = x.phi[0]
+    and c1 = x.(phi[1] - phi[0]), so value k = amps[k] O[k // b] I[k % b]
+    with I[i] = e(c0 + i c1) and O[j] = e(j b c1): b + ceil(n/b) e(.) calls
+    per sample instead of n, and no recurrence.  Equal amplitudes are folded
+    into I."""
+    n, batch = phi.shape[0], X.shape[0]
+    c0 = X @ phi[0]
+    c1 = X @ (phi[1] - phi[0])
+    inner = _cis(c0 + np.multiply.outer(np.arange(b, dtype=float), c1))
+    constant = bool(np.all(amps == amps[0]))
+    if constant:
+        inner *= amps[0]
+    outer = _cis(np.multiply.outer(np.arange(0, n, b, dtype=float), c1))
+    out = np.empty((n, batch), dtype=complex)
+    full = n // b
+    np.multiply(outer[:full, None], inner, out=out[:full * b].reshape(full, b, batch))
+    if full * b < n:
+        np.multiply(outer[full], inner[:n - full * b], out=out[full * b:])
+    if not constant:
+        out *= amps[:, None]
+    return out
+
+
 def nodes_for_cycles(cycles: float, factor: int = 1) -> int:
     """Gauss-Legendre node count resolving the given number of phase cycles."""
     return int(np.ceil(3.2 * max(cycles, 0.0)) + 16) * factor
@@ -216,6 +264,8 @@ class AmplitudeField:
         amps = np.asarray(amplitudes, dtype=complex).ravel()
         if pts.shape[1] != 2 or pts.shape[0] != amps.shape[0]:
             raise ValueError("points must be (n,2) with matching amplitudes")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(amps))):
+            raise ValueError("atomic points and amplitudes must be finite")
         if np.any(pts < 0.0) or np.any(pts > 1.0):
             raise ValueError("atomic points must lie in [0,1]^2")
         return cls(mode="atomic", points=pts, amplitudes=amps)
@@ -395,6 +445,7 @@ class ExtensionEvaluator:
             self._phase = amp_field.points_phase(surface)      # (n, 4)
             self._amps = amp_field.amplitudes
             self._nodes_per_sample = self._amps.shape[0]
+            self._split = _progression_split(self._phase)
             self.cells = None
             return
         self.cells = amp_field.cells
@@ -548,6 +599,8 @@ class ExtensionEvaluator:
         if not np.all(np.isfinite(X)):
             raise ValueError("non-finite evaluation point")
         if self._mode == "atomic":
+            if self._split is not None:
+                return _progression_values(self._phase, self._amps, self._split, X)
             vals = _cis(self._phase @ X.T)
             vals *= self._amps[:, None]
             return vals

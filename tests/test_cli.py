@@ -247,7 +247,14 @@ def test_numeric_poisoning_exit(tmp_path, monkeypatch):
     ({"kind": "strip", "K": 3}, None),
     ({"kind": "bilinear-pair", "N": [16], "nu": 0.9}, None),
     ({"kind": "flat-line", "N": [16]}, {"strategy": "mc", "budget": 256, "seed": 1}),
-], ids=["N=0", "N=-4", "p=0.5", "strip-K=3", "nu=0.9", "budget=256"])
+    ({"kind": "flat-line", "N": [16]}, {"strategy": "rqmc", "budget": 2048, "seed": 1}),
+    ({"kind": "flat-line", "N": [16]}, {"proposal": "defensive", "budget": 2048}),
+    ({"kind": "flat-line", "N": [16]}, {"chunk": 0, "budget": 2048}),
+    ({"kind": "flat-line", "N": [16]}, {"chunk": -4, "budget": 2048}),
+    ({"kind": "indicator", "N": [16],
+      "field": {"mode": "atomic", "points": [[float("nan"), 0.5], [0.25, 0.75]]}}, None),
+], ids=["N=0", "N=-4", "p=0.5", "strip-K=3", "nu=0.9", "budget=256", "strategy=rqmc",
+        "proposal=defensive", "chunk=0", "chunk=-4", "atomic-nan-point"])
 def test_bad_value_rejected_at_load(tmp_path, capsys, scenario, sampler):
     cfg_path = tmp_path / "run.json"
     outputs = {"report": str(tmp_path / "report.json"), "csv": str(tmp_path / "rows.csv")}

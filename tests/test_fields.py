@@ -13,8 +13,10 @@ from declab.fields import (NODE_BLOCK, QUAD_BLOCK_ELEMENTS, AmplitudeField,
 from declab.geometry import (QuadCoeffs, curve_lift, moment_curve, quad_surface,
                              random_admissible)
 from declab.grid import CapPartition, DyadicSquare
-from declab.harness import FLAT_LINE_COEFFS, X_MAX_TAIL, measurement_ball
-from declab.norms import BallSpec, PoisonedEstimateError, Sampler, weighted_norm_batch
+from declab.harness import (FLAT_LINE_COEFFS, X_MAX_TAIL, flat_line_points,
+                            measurement_ball)
+from declab.norms import (BallSpec, PoisonedEstimateError, Sampler, _MixtureProposal,
+                          weighted_norm_batch)
 
 SQUARES = quad_surface((1, 0, 0, 0, 0, 1))
 
@@ -189,8 +191,13 @@ def test_quadrature_weights_sum_to_cell_area():
 
 
 def test_atomic_points_validated():
-    with pytest.raises(ValueError):
-        AmplitudeField.atomic([[1.2, 0.3]], [1.0])
+    for points, amps in (([[1.2, 0.3]], [1.0]),
+                         ([[np.nan, 0.5], [0.25, 0.75]], [1.0, 1.0]),
+                         ([[0.25, np.inf]], [1.0]),
+                         ([[0.25, 0.5]], [np.nan]),
+                         ([[0.25, 0.5]], [complex(1.0, np.inf)])):
+        with pytest.raises(ValueError):
+            AmplitudeField.atomic(points, amps)
 
 
 def test_nonfinite_evaluation_point_rejected():
@@ -552,3 +559,116 @@ def test_separable_engine_memory_stays_within_one_sample_block():
     assert vals.shape == (cells, batch)
     assert factor_peak < block + 48 * rows * batch
     assert peak < block + 48 * 2 * rows * batch + 32 * cells * batch
+
+
+# -- the atomic engine's progression split --------------------------------------
+
+
+def flat_line_field(n_scale):
+    pts = flat_line_points(n_scale)
+    return AmplitudeField.atomic(pts, np.ones(len(pts)))
+
+
+def proposal_chunk(n_scale, n=4096, seed=71):
+    """A chunk of the sampling proposal of the N = n_scale measurement ball,
+    and the frequency bound the evaluator is built for."""
+    ball = measurement_ball(4, n_scale)
+    x, _ = _MixtureProposal(ball, defensive=True).sample(seed, 0, n)
+    return x, ball.quantile_radius(X_MAX_TAIL)
+
+
+def longdouble_atomic(phi, amps, x):
+    """amps[k] e(x.phi[k]) with the phase and its reduction mod 1 in long
+    double; cos and sin of the reduced angle (|angle| <= pi) in double."""
+    ph = phi.astype(np.longdouble) @ x.T.astype(np.longdouble)
+    ang = 2 * np.pi * (ph - np.rint(ph)).astype(float)
+    return amps[:, None] * (np.cos(ang) + 1j * np.sin(ang))
+
+
+def atomic_bound(phi, amps, x):
+    """8 pi eps max|x.psi| + 1e-15, relative to the largest amplitude."""
+    return (8 * np.pi * np.finfo(float).eps * np.abs(phi @ x.T).max()
+            + 1e-15) * np.abs(amps).max()
+
+
+@pytest.mark.parametrize("n_scale, split", [(64, 3), (1024, 6), (16384, 12), (100, None)])
+def test_flat_line_atoms_take_the_split_when_exact(n_scale, split):
+    # N = 100 has 10 atoms at k/10, which is inexact, so its surface points
+    # are no exact progression and keep the direct sum
+    ev = extension_evaluator(FLAT, flat_line_field(n_scale), 1.0)
+    assert ev._mode == "atomic"
+    assert ev._split == split
+
+
+def test_progression_split_detection():
+    rng = np.random.default_rng(73)
+    line = np.column_stack([np.full(12, 0.25), np.arange(12) / 16])
+    cases = [
+        (rng.random((12, 2)), None),            # random atoms
+        (line[:4], None),                       # n <= 4: the split saves nothing
+        (line[:5], None),
+        (line[:6], 3),
+        (line[::-1], 4),                        # reversed order: still exact
+        (np.vstack([line[:11], [[0.25, 0.9]]]), None),
+    ]
+    for pts, split in cases:
+        f = AmplitudeField.atomic(pts, np.ones(len(pts)))
+        assert extension_evaluator(FLAT, f, 1.0)._split == split
+
+
+@pytest.mark.parametrize("n, amps", [
+    (50, "random"), (50, "constant"), (36, "random"), (7, "constant"), (12, "reversed"),
+])
+def test_progression_split_matches_longdouble(n, amps):
+    # t = 1/4, s = 1/8 + k/64 on the flat-line surface: every psi coordinate
+    # is dyadic, so the points are an exact progression with a t^2 and a ts
+    # part.  n = 50 is not a multiple of b = 8.
+    rng = np.random.default_rng(79 + n)
+    pts = np.column_stack([np.full(n, 0.25), 0.125 + np.arange(n) / 64])
+    a = {"random": rng.standard_normal(n) + 1j * rng.standard_normal(n),
+         "constant": np.full(n, 0.5 - 2j, dtype=complex),
+         "reversed": np.ones(n, dtype=complex)}[amps]
+    if amps == "reversed":
+        pts = pts[::-1]
+    x = rng.uniform(-300.0, 300.0, size=(333, 4))
+    ev = extension_evaluator(FLAT, AmplitudeField.atomic(pts, a), 300.0)
+    assert ev._split is not None
+    want = longdouble_atomic(ev._phase, a, x)
+    got = ev.cell_values(x)
+    assert np.abs(got - want).max() <= atomic_bound(ev._phase, a, x)
+
+
+def test_flat_line_split_and_direct_sum_are_accurate(monkeypatch):
+    # a proposal chunk at N = 16384, where max|x.psi| is about 1.6e4 and the
+    # bound (fixed beforehand) about 8.9e-11
+    f = flat_line_field(16384)
+    x, x_max = proposal_chunk(16384.0)
+    split = extension_evaluator(FLAT, f, x_max)
+    monkeypatch.setattr(fields_module, "_progression_split", lambda phi: None)
+    direct = extension_evaluator(FLAT, f, x_max)
+    assert split._split == 12 and direct._split is None
+    want = longdouble_atomic(split._phase, f.amplitudes, x)
+    bound = atomic_bound(split._phase, f.amplitudes, x)
+    assert bound < 1e-10
+    for ev in (split, direct):
+        assert np.abs(ev.cell_values(x) - want).max() <= bound
+
+
+def test_progression_split_memory():
+    # Bound fixed beforehand: the (n + b + ceil(n/b)) x B complex tables of
+    # the values, I and O, plus 2 MB for the phase tables of I and O, c0, c1
+    # and the e(.) kernel's 1.2 MB scratch.  The direct sum's n x B phase
+    # table alone is 4 MB here.
+    f = flat_line_field(16384)
+    x, x_max = proposal_chunk(16384.0)
+    ev = extension_evaluator(FLAT, f, x_max)
+    n, b, batch = 128, ev._split, x.shape[0]
+    bound = 16 * (n + b + -(-n // b)) * batch + 2 * 2 ** 20
+    tracemalloc.start()
+    try:
+        vals = ev.cell_values(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (n, batch)
+    assert peak < bound

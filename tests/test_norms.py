@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from declab.fields import AmplitudeField, extension_evaluator
 from declab.geometry import random_admissible, quad_surface
 from declab.grid import cap_level_for
 from declab.norms import (BallSpec, PoisonedEstimateError, Sampler,
-                          sphere_area, weight_mass, weighted_lp_norm,
-                          weighted_norm_batch)
+                          _MixtureProposal, sphere_area, weight_mass,
+                          weighted_lp_norm, weighted_norm_batch)
 
 
 def closed_form_mass(ball: BallSpec) -> float:
@@ -211,3 +212,101 @@ def test_l2_almost_orthogonality_at_dual_scale():
         total = ests[0].value
         rss = math.sqrt(sum(e.value ** 2 for e in ests[1:]))
         assert rss / 2.0 <= total <= 2.0 * rss
+
+
+# -- blocked accumulation -----------------------------------------------------
+
+# 31 series: with 4096-point chunks, blocks of 8 rows with p = 6, p = 3 and
+# p = 7.5 throughout, then one mixed block of 7 that includes p = inf
+MIXED_PS = [6.0] * 8 + [3.0] * 8 + [7.5] * 8 + [1.0, 2.0, 3.0, 6.0, 7.5, np.inf, np.inf]
+
+
+def smooth_series(X):
+    """(31, B) complex values with moduli that vary across series and points."""
+    k = np.arange(len(MIXED_PS))[:, None]
+    r = np.linalg.norm(X, axis=1)
+    return (1.0 + 0.05 * k) / (1.0 + 0.01 * r) * (1.2 + np.cos(0.3 * k + X[:, 0])) \
+        * np.exp(1j * (k * X[:, 1] - X[:, 2]))
+
+
+def power_reference(evaluator, ball, ps, sampler):
+    """Value and stderr per finite-p series, from np.power over whole chunks."""
+    prop = _MixtureProposal(ball, defensive=(sampler.proposal == "mixture"))
+    finite_p = np.where(np.isfinite(ps), ps, 1.0)[:, None]
+    s1 = s2 = 0.0
+    tot = k = 0
+    while tot < sampler.budget:
+        n = min(sampler.chunk, sampler.budget - tot)
+        x, iw = prop.sample(sampler.seed, k, n)
+        vals = np.abs(evaluator(x)) ** finite_p * iw
+        s1 = s1 + vals.sum(axis=1)
+        s2 = s2 + (vals * vals).sum(axis=1)
+        tot += n
+        k += 1
+    integral = s1 / tot
+    value = integral ** (1.0 / finite_p[:, 0])
+    var = np.maximum(s2 / tot - integral ** 2, 0.0) / tot
+    return value, np.sqrt(var) * value / (finite_p[:, 0] * integral)
+
+
+@pytest.mark.parametrize("sampler", [Sampler(budget=3 * 4096 + 1000, seed=83),
+                                     Sampler(budget=2500, seed=89, chunk=1000)],
+                         ids=["chunk=4096", "chunk=1000"])
+def test_blocked_accumulation_matches_power_reference(sampler):
+    # the budgets end on a short chunk
+    ball = BallSpec.at_origin(4, 16.0)
+    ests = weighted_norm_batch(smooth_series, ball, MIXED_PS, sampler)
+    value, stderr = power_reference(smooth_series, ball, np.array(MIXED_PS), sampler)
+    for i, p in enumerate(MIXED_PS):
+        if np.isfinite(p):
+            assert ests[i].value == pytest.approx(value[i], rel=1e-14, abs=0)
+            assert ests[i].stderr == pytest.approx(stderr[i], rel=1e-12, abs=0)
+        else:
+            assert ests[i].approximate and ests[i].stderr is None
+
+
+def test_poisoned_value_named_in_series_order():
+    # non-finite values in the blocks of rows 0-7 and 8-15: the error names
+    # the first in (series, sample) order
+    ball = BallSpec.at_origin(4, 16.0)
+    sampler = Sampler(budget=4096, seed=97)
+    x, _ = _MixtureProposal(ball, defensive=True).sample(97, 0, 4096)
+
+    def poisoned(X):
+        vals = smooth_series(X)
+        vals[10, 0] = np.nan
+        vals[2, 100] = np.inf
+        vals[2, 3000] = np.nan
+        return vals
+
+    with pytest.raises(PoisonedEstimateError) as err:
+        weighted_norm_batch(poisoned, ball, MIXED_PS, sampler)
+    assert err.value.series == 2
+    assert np.array_equal(err.value.x, x[100])
+
+
+def test_evaluator_array_is_left_unchanged():
+    # the evaluator returns views of one persistent array
+    ball = BallSpec.at_origin(4, 16.0)
+    sampler = Sampler(budget=2 * 4096 + 1000, seed=101)
+    store = smooth_series(np.random.default_rng(103).standard_normal((4096, 4)))
+    before = store.copy()
+    weighted_norm_batch(lambda X: store[:, :len(X)], ball, MIXED_PS, sampler)
+    assert np.array_equal(store, before)
+
+
+def test_accumulation_memory_stays_within_one_block():
+    # Bound fixed beforehand: two scratch tables of a block (8 rows of 4096
+    # floats each, 0.5 MB together) plus 1.5 MB for one proposal chunk of
+    # 4096 points.  A (129, 4096) table of |F| is 4.2 MB by itself.
+    ball = BallSpec.at_origin(4, 16.0)
+    sampler = Sampler(budget=3 * 4096, seed=107)
+    store = np.ones((129, 4096), dtype=complex)
+    weighted_norm_batch(lambda X: store[:, :len(X)], ball, [6.0] * 129, sampler)
+    tracemalloc.start()
+    try:
+        weighted_norm_batch(lambda X: store[:, :len(X)], ball, [6.0] * 129, sampler)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
