@@ -264,9 +264,17 @@ def cmd_measure(args) -> int:
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    threads = os.environ.get("DECLAB_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        print(f"config error: DECLAB_THREADS must be an integer >= 1, got {threads!r}",
+              file=sys.stderr)
+        return EXIT_SCHEMA
     sampler = _sampler_from(cfg, cfg["seed"])
     cells = _expand_cells(cfg)
-    workers = int(os.environ.get("DECLAB_THREADS", "1"))
     time_budget = cfg.get("time_budget_s")
 
     def run_one(item):

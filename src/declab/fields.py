@@ -9,9 +9,16 @@ quadrature converged for every sample the norm estimators draw.
 
 Engines: "atomic" for point masses; for continuous fields with a separable
 profile g1(t) g2(s), "separable" when the phase splits as f(t) + g(s) and
-"quadratic" on any other quadratic surface (one cell-independent n x n e(.)
-table per sample, shared by every cell); "tensor", the generic per-cell n^2
-sum, for general profiles and other surfaces.  On a quadratic surface the
+"quadratic" on any other quadratic surface; "tensor", the generic per-cell
+n^2 sum, for general profiles and other surfaces.  The quadratic engine
+shares the cross term e(2B uv) of the cell phase between all cells and,
+while theta = 2 pi |2B| h^2 <= _CROSS_THETA_MAX = 4 (h the cell side),
+splits it into r < n Taylor terms, r the smallest count with theta^r/r! <=
+2^-60 (`_cross_split`, within 7.5e-16 of sum |W| of a long-double reference
+at the cap); other sample blocks take the direct n x n table.  Its per-cell
+e(alpha u) rows step up each column of cells by a cap shift.  Per sample
+that is (2 + columns + distinct Vs tables) n + cells e(.) calls, n^2 more
+on the direct table, instead of cells n^2.  On a quadratic surface the
 separable engine's 1-D interval factors come from a cap-shift recurrence
 (`_shift_sums`): interval r+1's e(.) node table is interval r's times one
 step table, so a factor over `rows` intervals of n nodes takes 2n + rows e(.)
@@ -61,6 +68,10 @@ NODE_BLOCK = 256
 # and its (cells, n) tables stay bounded whatever the node count n.  The
 # separable recurrence's P and Z tables share this budget.
 QUAD_BLOCK_ELEMENTS = 2 ** 17
+# Largest theta = 2 pi |2B| h^2 at which the quadratic engine splits the
+# cross term e(2B uv) by Taylor terms; beyond it the terms' cancellation
+# costs digits and the engine keeps the direct n x n table.
+_CROSS_THETA_MAX = 4.0
 
 _leg_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -177,6 +188,31 @@ def _shift_sums(rows: np.ndarray, h: float, u: np.ndarray, amps: np.ndarray,
     c = rows * h
     out *= _cis(np.multiply.outer(c, lin) + np.multiply.outer(c * c, quad))
     return out
+
+
+def _taylor_rank(theta: float) -> int:
+    """The smallest term count r with theta^r / r! <= 2^-60: the rank of the
+    Taylor split of e(2B uv) when |2 pi 2B uv| <= theta."""
+    r, term = 1, theta
+    while term > 2.0 ** -60:
+        r += 1
+        term *= theta / r
+    return r
+
+
+def _cross_split(W: np.ndarray, z: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """S[b, d, i] = sum_j W[b, d, j] e(2B u_i u_j) for nodes u in [0, h], by
+    e(2B u_i u_j) = sum_{k<r} (i z)^k / k! (u_i/h)^k (u_j/h)^k with z the
+    (b,) array 2 pi 2B h^2: two contractions through the (n, r) table pw of
+    powers (u/h)^k, the first over j, the second over k.  The remainder is
+    theta^r / r! of sum |W| (theta = max |z|)."""
+    r = pw.shape[1]
+    coef = np.ones((z.shape[0], r), dtype=complex)
+    coef[:, 1:] = 1j * z[:, None] / np.arange(1, r)
+    np.cumprod(coef, axis=1, out=coef)                          # (i z)^k / k!
+    M = W @ pw                                                  # (b, distinct, r)
+    M *= coef[:, None, :]
+    return M @ pw.T
 
 
 def _progression_split(phi: np.ndarray) -> int | None:
@@ -530,49 +566,93 @@ class ExtensionEvaluator:
         s0 = np.array([c.bounds[2] for c in f.cells])
         g1 = f.g1 if f.g1 is not None else _ones
         g2 = f.g2 if f.g2 is not None else _ones
-        self._q_u, self._q_uu, self._q_uv = u, u * u, np.outer(u, u)
-        self._q_alpha = np.stack([2 * (a.a1 * t0 + a.a2 * s0), 2 * (a.a4 * t0 + a.a5 * s0)])
-        self._q_amp_t = (f.coeffs[:, None] * w
-                         * np.asarray(g1(np.add.outer(t0, u)), dtype=complex))
+        self._q_h, self._q_u, self._q_uu, self._q_uv = side, u, u * u, np.outer(u, u)
+        # Taylor powers (u/h)^k up to the largest rank the theta cap allows
+        self._q_pow = np.vander(u / side, min(n1, _taylor_rank(_CROSS_THETA_MAX)),
+                                increasing=True)
         # Cells with the same beta slopes and s-amplitude share one Vs table
         # (every cell of a column strip, on a surface with a3 = a6 = 0).
         beta = np.stack([2 * (a.a2 * t0 + a.a3 * s0), 2 * (a.a5 * t0 + a.a6 * s0)])
         amp_s = w * np.asarray(g2(np.add.outer(s0, u)), dtype=complex)
         keys = np.column_stack([beta.T, amp_s.real, amp_s.imag])
-        _, first, self._q_vs_of_cell = np.unique(keys, axis=0, return_index=True,
-                                                 return_inverse=True)
+        _, first, vs_of_cell = np.unique(keys, axis=0, return_index=True,
+                                         return_inverse=True)
         self._q_beta, self._q_amp_s = beta[:, first], amp_s[first]
+        # Ut rows by a cap shift up each column i of cells: P starts at the
+        # lowest row j_min with the column's amplitude w g1(t0 + u) and steps
+        # through every row to the highest.  When every cell of a column
+        # uses one Vs table, that table's E Vs is folded into P as well.
+        cols, col_of_cell = np.unique([c.i for c in f.cells], return_inverse=True)
+        row_of_cell = np.array([c.j for c in f.cells])
+        j_min = int(row_of_cell.min())
+        tc, sc = cols * side, j_min * side
+        self._q_alpha = np.stack([2 * (a.a1 * tc + a.a2 * sc), 2 * (a.a4 * tc + a.a5 * sc)])
+        self._q_amp_t = w * np.asarray(g1(np.add.outer(tc, u)), dtype=complex)
+        vs_of_col = np.zeros(len(cols), dtype=int)
+        vs_of_col[col_of_cell] = vs_of_cell
+        self._q_vs_of_col = (vs_of_col if np.array_equal(vs_of_col[col_of_cell], vs_of_cell)
+                             else None)
+        self._q_rows = []                               # (steps, cells, columns, Vs)
+        prev = j_min
+        for j in np.unique(row_of_cell):
+            at = np.flatnonzero(row_of_cell == j)
+            ds = None if self._q_vs_of_col is not None else vs_of_cell[at]
+            self._q_rows.append((int(j) - prev, at, col_of_cell[at], ds))
+            prev = int(j)
+        self._q_coeffs = f.coeffs
         self._q_corner = self.surface.value(t0, s0)            # (cells, 4)
         self._q_step = max(1, QUAD_BLOCK_ELEMENTS // (n1 * max(n1, len(f.cells))))
         self._nodes_per_sample = len(f.cells) * n1 ** 2
 
     def _quadratic_block(self, xb: np.ndarray) -> np.ndarray:
-        """(samples, cells) values coeff e(x.psi(c)) Ut^T E Vs, with one n x n
-        table E = e(A u^2 + 2B uv + C v^2) per sample, shared by every cell,
-        and per cell Ut = amp_t e(alpha u), Vs = amp_s e(beta v).  E Vs is
-        one batched matmul over the distinct Vs tables.  Each table is
-        dropped as soon as it is used, so at most three are alive."""
+        """(samples, cells) values coeff e(x.psi(c)) Ut^T E Vs with, per cell,
+        Ut = amp_t e(alpha u + A u^2), Vs = amp_s e(beta v + C v^2) and the
+        cross table E = e(2B uv), shared by every cell.  E Vs goes by the
+        Taylor split of `_cross_split` when theta = 2 pi |2B| h^2 is at most
+        _CROSS_THETA_MAX and its rank is below n, else by one batched matmul
+        with the n x n table.  The Ut rows go by the cap shift alpha(i, j+1) =
+        alpha(i, j) + 2B h: one e(.) row per column and one step table
+        Z = e(2B h u), stepped row by row.  Per sample that is (2 + columns
+        + distinct) n + cells e(.) calls with the split, n^2 more without."""
         a = self.surface.coeffs
-        u = self._q_u
+        u, uu, h = self._q_u, self._q_uu, self._q_h
         A = a.a1 * xb[:, 2] + a.a4 * xb[:, 3]
         B = a.a2 * xb[:, 2] + a.a5 * xb[:, 3]
         C = a.a3 * xb[:, 2] + a.a6 * xb[:, 3]
-        ph = np.multiply.outer(2.0 * B, self._q_uv)
-        ph += np.multiply.outer(A, self._q_uu)[:, :, None]
-        ph += np.multiply.outer(C, self._q_uu)[:, None, :]
-        E = _cis(ph)                                            # (b, n, n)
-        del ph
         beta = xb[:, 1, None] + xb[:, 2:] @ self._q_beta
-        vs = _cis(np.multiply.outer(beta, u))                   # (b, distinct, n)
+        ph = np.multiply.outer(beta, u)
+        ph += np.multiply.outer(C, uu)[:, None, :]
+        vs = _cis(ph)                                           # (b, distinct, n)
         vs *= self._q_amp_s
-        ev = E @ vs.transpose(0, 2, 1)                          # (b, n, distinct)
-        del E, vs
+        z = 4 * np.pi * h * h * B
+        theta = float(np.abs(z).max())
+        r = _taylor_rank(theta)
+        if theta <= _CROSS_THETA_MAX and r < u.shape[0]:
+            ev = _cross_split(vs, z, self._q_pow[:, :r])
+        else:
+            E = _cis(np.multiply.outer(2.0 * B, self._q_uv))    # (b, n, n), symmetric
+            ev = vs @ E
+            del E
+        del vs
         alpha = xb[:, 0, None] + xb[:, 2:] @ self._q_alpha
-        ut = _cis(np.multiply.outer(alpha, u))                  # (b, cells, n)
-        ut *= self._q_amp_t
-        ut *= ev.transpose(0, 2, 1)[:, self._q_vs_of_cell]
-        total = ut.sum(axis=-1)                                 # (b, cells)
+        ph = np.multiply.outer(alpha, u)
+        ph += np.multiply.outer(A, uu)[:, None, :]
+        P = _cis(ph)                                            # (b, columns, n)
+        del ph
+        P *= self._q_amp_t
+        if self._q_vs_of_col is not None:
+            P *= ev[:, self._q_vs_of_col]
+        Z = _cis(np.multiply.outer(2.0 * h * B, u))[:, None, :]
+        total = np.empty((xb.shape[0], len(self._q_coeffs)), dtype=complex)
+        for steps, cells, cols, ds in self._q_rows:
+            for _ in range(steps):
+                P *= Z
+            part = P[:, cols]
+            if ds is not None:
+                part *= ev[:, ds]
+            total[:, cells] = part.sum(axis=-1)
         total *= _cis(xb @ self._q_corner.T)
+        total *= self._q_coeffs
         return total
 
     def _build_tensor(self):

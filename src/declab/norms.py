@@ -386,6 +386,8 @@ def _lattice_norm_batch(evaluator, ball: BallSpec, ps, sampler: Sampler) -> list
             vals = vals[None, :]
         if sums is None:
             nser = vals.shape[0]
+            if len(ps) != nser:
+                raise ValueError("one exponent per series required")
             sums = np.zeros(nser)
             maxes = np.zeros(nser)
         if not np.all(np.isfinite(vals)):

@@ -182,6 +182,18 @@ def test_override_on_wrong_kind_rejected(tmp_path):
     assert rc == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("threads", ["abc", "2.5", "0", "-1"])
+def test_bad_thread_count_rejected(tmp_path, capsys, monkeypatch, threads):
+    cfg_path = tmp_path / "run.json"
+    outputs = {"report": str(tmp_path / "report.json"), "csv": str(tmp_path / "rows.csv")}
+    write_config(cfg_path, outputs=outputs)
+    monkeypatch.setenv("DECLAB_THREADS", threads)
+    rc = main(["measure", "--config", str(cfg_path)])
+    assert rc == EXIT_SCHEMA
+    assert "DECLAB_THREADS" in capsys.readouterr().err
+    assert not any(tmp_path.joinpath(name).exists() for name in ("report.json", "rows.csv"))
+
+
 def test_thread_pool_byte_identical(tmp_path, monkeypatch):
     cfg_path = tmp_path / "run.json"
     write_config(cfg_path, scenarios=[

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -6,8 +7,9 @@ import pytest
 from scipy import integrate
 
 from declab import fields as fields_module
-from declab.fields import (NODE_BLOCK, QUAD_BLOCK_ELEMENTS, AmplitudeField,
-                           LineEvaluator, _cis, _gauss, _interval_sums,
+from declab.fields import (_CROSS_THETA_MAX, NODE_BLOCK, QUAD_BLOCK_ELEMENTS,
+                           AmplitudeField, LineEvaluator, _cis, _cross_split,
+                           _gauss, _interval_sums, _taylor_rank,
                            extension_evaluator, extension_value,
                            nodes_for_cycles)
 from declab.geometry import (QuadCoeffs, curve_lift, moment_curve, quad_surface,
@@ -355,9 +357,12 @@ def test_empty_continuous_field_evaluates_to_nothing():
     (quad_surface(QuadCoeffs(0.7, -0.3, 0.4, 0.2, 0.5, -0.6)),
      [DyadicSquare(5, i, j) for i, j in ((3, 7), (17, 2), (30, 30), (12, 25))]),
     # one column off the origin row: every cell has the same beta slopes
-    # and so shares one Vs table unless its s-amplitude differs
+    # and so shares one Vs table unless its s-amplitude differs; the Ut rows
+    # step over the gaps between rows 0, 4, 5 and 31
     (FLAT, [DyadicSquare(5, 9, j) for j in (0, 4, 5, 31)]),
-], ids=["general", "flat-column"])
+    # the whole column: the Ut rows step 31 times from the first (drift)
+    (FLAT, [DyadicSquare(5, 9, j) for j in range(32)]),
+], ids=["general", "flat-column", "full-column"])
 def test_quadratic_engine_matches_tensor_path(x_max, surface, support):
     rng = np.random.default_rng(37)
     fields = (AmplitudeField.random_phase(5, seed=8, support=support),
@@ -407,6 +412,121 @@ def test_quadratic_engine_memory_stays_within_one_sample_block():
         tracemalloc.stop()
     assert vals.shape == (8, batch)
     assert peak < bound
+
+
+def strip_chunk(k, n=2048, seed=83):
+    """The strip K=k field, the benchmark's frequency bound for it and a
+    chunk of its sampling proposal."""
+    ball = measurement_ball(4, float(k))
+    x, _ = _MixtureProposal(ball, defensive=True).sample(seed, 0, n)
+    return strip_field(k), 1.05 * ball.quantile_radius(X_MAX_TAIL), x
+
+
+def count_splits(monkeypatch):
+    """Counts the quadratic engine's calls of the Taylor split."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2].shape[1])
+        return _cross_split(*args)
+
+    monkeypatch.setattr(fields_module, "_cross_split", spy)
+    return calls
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.25, 1.0, 2.0, _CROSS_THETA_MAX, 10.0])
+def test_taylor_rank_is_the_smallest_below_2_pow_minus_60(theta):
+    r = _taylor_rank(theta)
+    assert theta ** r / math.factorial(r) <= 2.0 ** -60
+    assert r == 1 or theta ** (r - 1) / math.factorial(r - 1) > 2.0 ** -60
+
+
+@pytest.mark.parametrize("n", [33, 66], ids=["n=33", "refined"])
+@pytest.mark.parametrize("theta", [0.25, 2.0, _CROSS_THETA_MAX])
+def test_cross_split_matches_longdouble(n, theta):
+    # sum_j W[j] e(2B u_i u_j) on the Gauss nodes of a cell of side 1/8, 2B
+    # spread over [-theta, theta] / (2 pi h^2) with both ends present.  The
+    # reference takes the phase and its reduction mod 1 in long double, cos
+    # and sin of the reduced angle in double.  Bound fixed beforehand:
+    # 1e-14 of sum_j |W[j]| per row.
+    h = 0.125
+    rng = np.random.default_rng(89 + n)
+    xg, _ = _gauss(n)
+    u = h / 2 * (xg + 1.0)
+    two_b = theta / (2 * np.pi * h * h) * np.concatenate([[1.0, -1.0],
+                                                          rng.uniform(-1, 1, 30)])
+    W = rng.standard_normal((32, 3, n)) + 1j * rng.standard_normal((32, 3, n))
+    pw = np.vander(u / h, _taylor_rank(theta), increasing=True)
+    got = _cross_split(W, 2 * np.pi * h * h * two_b, pw)
+    ul = u.astype(np.longdouble)
+    ph = np.multiply.outer(two_b.astype(np.longdouble), np.multiply.outer(ul, ul))
+    ang = 2 * np.pi * (ph - np.rint(ph)).astype(float)
+    E = (np.cos(ang) + 1j * np.sin(ang)).astype(np.clongdouble)
+    want = np.einsum("bdj,bij->bdi", W.astype(np.clongdouble), E).astype(complex)
+    scale = np.abs(W).sum(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("k", [4, 8, 32])
+def test_strip_blocks_take_the_split(monkeypatch, k):
+    f, x_max, x = strip_chunk(k)
+    calls = count_splits(monkeypatch)
+    ev = extension_evaluator(FLAT, f, x_max)
+    got = ev.cell_values(x)
+    assert len(calls) == -(-x.shape[0] // ev._q_step)
+    # theta = 2 pi x_max / K^2 <= 2 at the frequency bound: rank 26 or less
+    assert max(calls) <= _taylor_rank(2.0) < 33
+    monkeypatch.setattr(fields_module, "_CROSS_THETA_MAX", -1.0)
+    want = extension_evaluator(FLAT, f, x_max).cell_values(x)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_quadratic_blocks_fall_back_to_the_direct_table(monkeypatch):
+    # strip K=4 has n = 33, refined n = 66, and 24 samples make one block.
+    # One far sample sends its whole block to the direct table: at theta =
+    # 16 > the cap; at theta = 8, also > the cap, where the refined rank 49
+    # is below n; at theta = 3.9, under the cap, where the rank 34 is not
+    # below n = 33.
+    f, x_max, x = strip_chunk(4, n=24)
+    calls = count_splits(monkeypatch)
+    assert _taylor_rank(3.9) == 34 and _taylor_rank(8.0) == 49
+    h = 0.25
+    for field, theta, splits in ((f, 1.0, 1), (f, 3.9, 0), (f, 16.0, 0),
+                                 (f.refine(2), 3.9, 1), (f.refine(2), 8.0, 0)):
+        ev = extension_evaluator(FLAT, field, x_max)
+        assert ev._q_u.shape[0] == 33 * field.node_factor and ev._q_step >= 24
+        xb = x.copy()
+        xb[17, 3] = theta / (2 * np.pi * h * h)
+        calls.clear()
+        got = ev.cell_values(xb)
+        assert len(calls) == splits
+        want = extension_evaluator(FLAT, generic_copy(field), x_max).cell_values(xb)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_quadratic_split_memory(monkeypatch):
+    # Bound fixed beforehand: the (cells, batch) result and its (batch,
+    # cells) blocks, plus one complex table of QUAD_BLOCK_ELEMENTS elements
+    # for everything a block builds: its phase, Vs, P and Z tables, the
+    # row parts and the e(.) kernel's scratch.  The direct table alone
+    # takes that budget in one block, with its phase table on top, so the
+    # same cell without the split goes over the bound, but stays within the
+    # 80 bytes per element of the sample-block bound.
+    f, x_max, x = strip_chunk(8)
+    f = f.refine(2)
+    bound = 2 * 16 * 8 * x.shape[0] + 16 * QUAD_BLOCK_ELEMENTS
+    peaks = []
+    for cap in (_CROSS_THETA_MAX, -1.0):
+        monkeypatch.setattr(fields_module, "_CROSS_THETA_MAX", cap)
+        ev = extension_evaluator(FLAT, f, x_max)
+        tracemalloc.start()
+        try:
+            vals = ev.cell_values(x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (8, x.shape[0])
+    assert peaks[0] < bound < peaks[1] < 80 * QUAD_BLOCK_ELEMENTS
 
 
 # -- the separable engine's cap-shift recurrence --------------------------------

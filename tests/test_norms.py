@@ -179,6 +179,16 @@ def test_lattice_strategy_constant():
     assert est.value == pytest.approx(weight_mass(ball) ** 0.5, rel=2e-3)
 
 
+@pytest.mark.parametrize("strategy", ["mc", "lattice"])
+@pytest.mark.parametrize("ps", [[2.0, 2.0], [2.0, 2.0, 2.0, 2.0]], ids=["two", "four"])
+def test_exponent_count_must_match_series(strategy, ps):
+    # three series: two exponents would drop one, four would index past them
+    ball = BallSpec.at_origin(2, 2.0, shape="plateau")
+    with pytest.raises(ValueError, match="one exponent per series required"):
+        weighted_norm_batch(lambda X: np.ones((3, X.shape[0])), ball, ps,
+                            Sampler(budget=1024, seed=0, strategy=strategy))
+
+
 def test_poisoned_estimate_carries_point():
     ball = BallSpec.at_origin(4, 4.0)
 
