@@ -192,7 +192,9 @@ def _shift_sums(rows: np.ndarray, h: float, u: np.ndarray, amps: np.ndarray,
 
 def _taylor_rank(theta: float) -> int:
     """The smallest term count r with theta^r / r! <= 2^-60: the rank of the
-    Taylor split of e(2B uv) when |2 pi 2B uv| <= theta."""
+    Taylor split of e(2B uv) when |2 pi 2B uv| <= theta.  Only for moderate
+    theta: past about 700, theta^r / r! overflows and the loop never ends,
+    so callers check theta against _CROSS_THETA_MAX first."""
     r, term = 1, theta
     while term > 2.0 ** -60:
         r += 1
@@ -580,24 +582,18 @@ class ExtensionEvaluator:
         self._q_beta, self._q_amp_s = beta[:, first], amp_s[first]
         # Ut rows by a cap shift up each column i of cells: P starts at the
         # lowest row j_min with the column's amplitude w g1(t0 + u) and steps
-        # through every row to the highest.  When every cell of a column
-        # uses one Vs table, that table's E Vs is folded into P as well.
+        # through every row to the highest.
         cols, col_of_cell = np.unique([c.i for c in f.cells], return_inverse=True)
         row_of_cell = np.array([c.j for c in f.cells])
         j_min = int(row_of_cell.min())
         tc, sc = cols * side, j_min * side
         self._q_alpha = np.stack([2 * (a.a1 * tc + a.a2 * sc), 2 * (a.a4 * tc + a.a5 * sc)])
         self._q_amp_t = w * np.asarray(g1(np.add.outer(tc, u)), dtype=complex)
-        vs_of_col = np.zeros(len(cols), dtype=int)
-        vs_of_col[col_of_cell] = vs_of_cell
-        self._q_vs_of_col = (vs_of_col if np.array_equal(vs_of_col[col_of_cell], vs_of_cell)
-                             else None)
         self._q_rows = []                               # (steps, cells, columns, Vs)
         prev = j_min
         for j in np.unique(row_of_cell):
             at = np.flatnonzero(row_of_cell == j)
-            ds = None if self._q_vs_of_col is not None else vs_of_cell[at]
-            self._q_rows.append((int(j) - prev, at, col_of_cell[at], ds))
+            self._q_rows.append((int(j) - prev, at, col_of_cell[at], vs_of_cell[at]))
             prev = int(j)
         self._q_coeffs = f.coeffs
         self._q_corner = self.surface.value(t0, s0)            # (cells, 4)
@@ -626,8 +622,7 @@ class ExtensionEvaluator:
         vs *= self._q_amp_s
         z = 4 * np.pi * h * h * B
         theta = float(np.abs(z).max())
-        r = _taylor_rank(theta)
-        if theta <= _CROSS_THETA_MAX and r < u.shape[0]:
+        if theta <= _CROSS_THETA_MAX and (r := _taylor_rank(theta)) < u.shape[0]:
             ev = _cross_split(vs, z, self._q_pow[:, :r])
         else:
             E = _cis(np.multiply.outer(2.0 * B, self._q_uv))    # (b, n, n), symmetric
@@ -640,16 +635,13 @@ class ExtensionEvaluator:
         P = _cis(ph)                                            # (b, columns, n)
         del ph
         P *= self._q_amp_t
-        if self._q_vs_of_col is not None:
-            P *= ev[:, self._q_vs_of_col]
         Z = _cis(np.multiply.outer(2.0 * h * B, u))[:, None, :]
         total = np.empty((xb.shape[0], len(self._q_coeffs)), dtype=complex)
         for steps, cells, cols, ds in self._q_rows:
             for _ in range(steps):
                 P *= Z
             part = P[:, cols]
-            if ds is not None:
-                part *= ev[:, ds]
+            part *= ev[:, ds]
             total[:, cells] = part.sum(axis=-1)
         total *= _cis(xb @ self._q_corner.T)
         total *= self._q_coeffs

@@ -486,12 +486,13 @@ def test_quadratic_blocks_fall_back_to_the_direct_table(monkeypatch):
     # One far sample sends its whole block to the direct table: at theta =
     # 16 > the cap; at theta = 8, also > the cap, where the refined rank 49
     # is below n; at theta = 3.9, under the cap, where the rank 34 is not
-    # below n = 33.
+    # below n = 33; and at theta = 1e3, far past x_max, where theta^r / r!
+    # would overflow to inf before it fell below 2^-60.
     f, x_max, x = strip_chunk(4, n=24)
     calls = count_splits(monkeypatch)
     assert _taylor_rank(3.9) == 34 and _taylor_rank(8.0) == 49
     h = 0.25
-    for field, theta, splits in ((f, 1.0, 1), (f, 3.9, 0), (f, 16.0, 0),
+    for field, theta, splits in ((f, 1.0, 1), (f, 3.9, 0), (f, 16.0, 0), (f, 1e3, 0),
                                  (f.refine(2), 3.9, 1), (f.refine(2), 8.0, 0)):
         ev = extension_evaluator(FLAT, field, x_max)
         assert ev._q_u.shape[0] == 33 * field.node_factor and ev._q_step >= 24
