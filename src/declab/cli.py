@@ -109,16 +109,21 @@ def _check_values(cfg: dict):
         raise ConfigError(f"scenario: {exc}") from exc
     for cell, spec, raw in cells:
         where = f"scenario {cell.scenario_index} ({cell.kind}, N={spec.n_scale:g})"
-        if not spec.p >= 1.0:
-            raise ConfigError(f"{where}: p must be >= 1, got {spec.p:g}")
         try:
-            harness.scenario(spec)
+            _check_spec(spec)
             if "surface" in raw:
                 _build_surface(raw["surface"])
             if "field" in raw:
                 _build_field(raw["field"], cap_level_for(spec.n_scale), spec.seed)
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _check_spec(spec: ScenarioSpec):
+    """Raise ValueError for a scenario the harness would reject mid-run."""
+    if not spec.p >= 1.0:
+        raise ValueError(f"p must be >= 1, got {spec.p:g}")
+    harness.scenario(spec)
 
 
 def _build_surface(spec: dict):
@@ -354,15 +359,25 @@ def _slope_payload(reports) -> dict:
 
 
 def cmd_example(args) -> int:
-    spec = ScenarioSpec(kind=args.kind, n_scale=args.N, p=args.p,
-                        k_squares=args.K, nu=args.nu, seed=args.seed)
-    sampler = Sampler(budget=args.budget, seed=args.seed)
-    ball = None
-    if args.center:
-        center = [float(v) for v in args.center.split(",")]
-        dim = 2 if args.kind == "parabola-2d" else 4
-        radius = float(args.K) if args.kind == "strip" else float(args.N)
+    # build everything the run needs first, so that bad input fails with a
+    # one-line message, as `measure` does at load
+    dim = 2 if args.kind == "parabola-2d" else 4
+    radius = float(args.K) if args.kind == "strip" else float(args.N)
+    try:
+        spec = ScenarioSpec(kind=args.kind, n_scale=args.N, p=args.p,
+                            k_squares=args.K, nu=args.nu, seed=args.seed)
+        _check_spec(spec)
+        sampler = Sampler(budget=args.budget, seed=args.seed)
+        center = None
+        if args.center:
+            center = [float(v) for v in args.center.split(",")]
+            if len(center) != dim:
+                raise ValueError(f"--center needs {dim} coordinates for {args.kind}, "
+                                 f"got {len(center)}")
         ball = measurement_ball(dim, radius, center=center)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     try:
         rep = run_cell(spec, sampler, ball=ball)
     except PoisonedEstimateError as exc:

@@ -23,7 +23,8 @@ separable engine's 1-D interval factors come from a cap-shift recurrence
 (`_shift_sums`): interval r+1's e(.) node table is interval r's times one
 step table, so a factor over `rows` intervals of n nodes takes 2n + rows e(.)
 calls per sample instead of rows n; over 128 intervals it stays within
-1.6e-12 of a long-double reference (direct sums: 4.5e-13).  Atoms whose
+1.6e-12 of a long-double reference (direct sums: 4.5e-13).  The planar
+parabola's cap sums go through the same factor (`axis_factor`).  Atoms whose
 surface points form an exact arithmetic progression (tested with equality,
 no tolerance) have the phase c0 + k c1, and a two-level split
 e(c0 + k c1) = e(j b c1) e(c0 + i c1), k = j b + i, b = ceil(sqrt(n)), takes
@@ -267,6 +268,26 @@ def nodes_for_cycles(cycles: float, factor: int = 1) -> int:
 
 def _ones(t):
     return np.ones_like(np.asarray(t, dtype=float), dtype=complex)
+
+
+def axis_factor(rows: np.ndarray, side: float, n: int, g: Callable | None,
+                part: Callable | None, lin: int, quad) -> Callable:
+    """X -> (len(rows), B): the 1-D extension sums over the intervals
+    [r side, (r+1) side], r in rows (sorted integers), each on n Gauss nodes
+    with amplitude g (None: 1).  With quad None the phase is the table
+    part(nodes, X), summed directly; otherwise it is lin t + quad t^2 with
+    the coefficient lin = X[:, lin] and quad = X[:, -len(quad):] @ quad (the
+    trailing coordinates' coefficients in t^2), summed by the cap shift of
+    `_shift_sums`."""
+    xg, wg = _gauss(n)
+    u = side / 2 * (xg + 1.0)
+    w = side / 2 * wg
+    nodes = np.add.outer(rows * side, u)
+    amp = np.asarray((g if g is not None else _ones)(nodes), dtype=complex) * w
+    if quad is None:
+        return lambda X: _interval_sums(nodes, amp, part, X)
+    quad = np.array(quad, dtype=float)
+    return lambda X: _shift_sums(rows, side, u, amp, X[:, lin], X[:, -len(quad):] @ quad)
 
 
 @dataclass(frozen=True)
@@ -523,9 +544,6 @@ class ExtensionEvaluator:
         f = self.field
         side = f.cells[0].side
         n1 = nodes_for_cycles(self.x_max * self._phase_bound() * side, f.node_factor)
-        xg, wg = _gauss(n1)
-        u = side / 2 * (xg + 1.0)
-        w = side / 2 * wg
         ti = np.array(sorted({c.i for c in f.cells}))
         sj = np.array(sorted({c.j for c in f.cells}))
         self._cell_rows = np.searchsorted(ti, [c.i for c in f.cells])
@@ -535,20 +553,8 @@ class ExtensionEvaluator:
         if isinstance(self.surface, QuadSurface):
             a = self.surface.coeffs
             quad_t, quad_s = (a.a1, a.a4), (a.a3, a.a6)
-        self._factors = [self._axis_factor(ti, side, u, w, f.g1, split[0], 0, quad_t),
-                         self._axis_factor(sj, side, u, w, f.g2, split[1], 1, quad_s)]
-
-    @staticmethod
-    def _axis_factor(rows, side, u, w, g, part, lin, quad):
-        """X -> (len(rows), B): the 1-D factor over the intervals of rows,
-        with amplitude g, phase part(nodes, X) and, on a QuadSurface, the
-        coordinate lin and the coefficients quad of (x3, x4) in t^2."""
-        nodes = np.add.outer(rows * side, u)
-        amp = np.asarray((g if g is not None else _ones)(nodes), dtype=complex) * w
-        if quad is None:
-            return lambda X: _interval_sums(nodes, amp, part, X)
-        quad = np.array(quad)
-        return lambda X: _shift_sums(rows, side, u, amp, X[:, lin], X[:, 2:] @ quad)
+        self._factors = [axis_factor(ti, side, n1, f.g1, split[0], 0, quad_t),
+                         axis_factor(sj, side, n1, f.g2, split[1], 1, quad_s)]
 
     def _build_quadratic(self):
         # Cells share one level, so one local Gauss grid u = v (offsets from
@@ -727,8 +733,8 @@ def extension_value(surface: SurfaceEvaluator, amp_field: AmplitudeField, x) -> 
 
 
 # ---------------------------------------------------------------------------
-# 1-D interval extensions (shared by the planar-curve and bilinear-curve
-# reference pipelines)
+# 1-D interval extensions of general phases (the moment-curve pipelines;
+# the planar parabola takes `axis_factor`'s cap shift)
 
 
 class LineEvaluator:

@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import AmplitudeField, ExtensionEvaluator, LineEvaluator, extension_evaluator
+from .fields import (AmplitudeField, ExtensionEvaluator, LineEvaluator, axis_factor,
+                     extension_evaluator, nodes_for_cycles)
 from .geometry import (CurveEvaluator, QuadCoeffs, SurfaceEvaluator, curve_lift,
                        moment_curve, quad_surface)
 from .grid import CapPartition, DyadicSquare, cap_level_for, square_at
@@ -439,26 +440,24 @@ def parabola_reference(n_scale: float, p: float, sampler: Sampler,
                        amplitude: Callable | None = None,
                        ball: BallSpec | None = None) -> DecouplingReport:
     """l^2 cap decoupling of the planar curve (t, t^2) at scale N; the known
-    planar theorem makes this a calibration of the whole pipeline."""
+    planar theorem makes this a calibration of the whole pipeline.  The ball
+    must be 2-D."""
     t0 = time.perf_counter()
     m = cap_level_for(n_scale)
     n_caps = 2 ** m
     side = 2.0 ** (-m)
     if ball is None:
         ball = measurement_ball(2, n_scale)
-    intervals = [(k * side, (k + 1) * side) for k in range(n_caps)]
-
-    def phase(t_nodes, x_batch):
-        return np.outer(t_nodes, x_batch[:, 0]) + np.outer(t_nodes ** 2, x_batch[:, 1])
-
-    line = LineEvaluator(intervals, amplitude, phase, _x_max(ball),
-                         phase_derivative_bound=3.0)
+    if ball.dim != 2:
+        raise ValueError(f"parabola-2d needs a 2-D ball, got dimension {ball.dim}")
+    # the phase x1 t + x2 t^2 varies at most 3 x_max per unit t
+    n1 = nodes_for_cycles(_x_max(ball) * 3.0 * side)
+    caps = axis_factor(np.arange(n_caps), side, n1, amplitude, None, 0, (1.0,))
 
     def series(x_batch):
-        vals = line.interval_values(x_batch)
         buf = np.empty((n_caps + 1, len(x_batch)), dtype=complex)
-        np.sum(vals, axis=0, out=buf[0])
-        buf[1:] = vals
+        buf[1:] = caps(x_batch)
+        np.sum(buf[1:], axis=0, out=buf[0])
         return buf
 
     ests = weighted_norm_batch(series, ball, [p] * (n_caps + 1), sampler)
@@ -668,9 +667,9 @@ def scenario(spec: ScenarioSpec) -> ScenarioBundle:
                               *predicted_exponent(kind, spec.p, "l2"))
     if kind == "strip":
         k = spec.k_squares
-        lev = int(np.log2(k))
-        if 2 ** lev != k:
+        if k < 1 or k & (k - 1):
             raise ValueError("strip scenario needs a power-of-two square count")
+        lev = k.bit_length() - 1
         squares = [DyadicSquare(lev, 0, j) for j in range(k)]
         f = AmplitudeField.constant(lev, support=squares)
         return ScenarioBundle(spec, quad_surface(FLAT_LINE_COEFFS), [f], squares,

@@ -96,6 +96,25 @@ def test_example_subcommand(capsys):
     assert payload["kind"] == "flat-line"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kind", "indicator", "--N", "16", "--budget", "10"],
+    ["--kind", "indicator", "--N", "0"],
+    ["--kind", "strip", "--K", "3"],
+    ["--kind", "strip", "--K", "0"],
+    ["--kind", "indicator", "--N", "16", "--center", "1,a"],
+    ["--kind", "indicator", "--N", "16", "--center", "0,0"],
+    ["--kind", "parabola-2d", "--N", "16", "--center", "0,0,0,0"],
+], ids=["budget=10", "N=0", "strip-K=3", "strip-K=0", "center=1,a",
+        "indicator-2d-center", "parabola-4d-center"])
+def test_example_bad_input_is_a_config_error(capsys, argv):
+    # every case fails before any sampling
+    rc = main(["example", *argv])
+    assert rc == EXIT_SCHEMA
+    out = capsys.readouterr()
+    assert out.err.startswith("config error: ") and out.err.count("\n") == 1
+    assert out.out == ""
+
+
 def test_transversality_subcommand(tmp_path):
     out = tmp_path / "graph.json"
     rc = main(["transversality", "--A", "1,0,0,0,0,1", "--K", "8",
@@ -257,6 +276,7 @@ def test_numeric_poisoning_exit(tmp_path, monkeypatch):
     ({"kind": "indicator", "N": [-4]}, None),
     ({"kind": "indicator", "N": [16], "p": [0.5]}, None),
     ({"kind": "strip", "K": 3}, None),
+    ({"kind": "strip", "K": 0}, None),
     ({"kind": "bilinear-pair", "N": [16], "nu": 0.9}, None),
     ({"kind": "flat-line", "N": [16]}, {"strategy": "mc", "budget": 256, "seed": 1}),
     ({"kind": "flat-line", "N": [16]}, {"strategy": "rqmc", "budget": 2048, "seed": 1}),
@@ -265,8 +285,8 @@ def test_numeric_poisoning_exit(tmp_path, monkeypatch):
     ({"kind": "flat-line", "N": [16]}, {"chunk": -4, "budget": 2048}),
     ({"kind": "indicator", "N": [16],
       "field": {"mode": "atomic", "points": [[float("nan"), 0.5], [0.25, 0.75]]}}, None),
-], ids=["N=0", "N=-4", "p=0.5", "strip-K=3", "nu=0.9", "budget=256", "strategy=rqmc",
-        "proposal=defensive", "chunk=0", "chunk=-4", "atomic-nan-point"])
+], ids=["N=0", "N=-4", "p=0.5", "strip-K=3", "strip-K=0", "nu=0.9", "budget=256",
+        "strategy=rqmc", "proposal=defensive", "chunk=0", "chunk=-4", "atomic-nan-point"])
 def test_bad_value_rejected_at_load(tmp_path, capsys, scenario, sampler):
     cfg_path = tmp_path / "run.json"
     outputs = {"report": str(tmp_path / "report.json"), "csv": str(tmp_path / "rows.csv")}

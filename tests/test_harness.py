@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from declab.fields import AmplitudeField, extension_evaluator
+from declab import fields as fields_module
+from declab import harness
+from declab.fields import AmplitudeField, LineEvaluator, extension_evaluator
 from declab.geometry import moment_curve, quad_surface
 from declab.grid import CapPartition, DyadicSquare
 from declab.harness import (FLAT_LINE_COEFFS, SEPARABLE_COEFFS,
@@ -189,6 +191,82 @@ def test_parabola_single_cap_unit_ratio():
     # single-cap sanity instead: N=1 level 0
     rep1 = parabola_reference(1, 6.0, small_sampler(seed=7))
     assert rep1.ratio_l2 == pytest.approx(1.0, abs=1e-12)
+
+
+def parabola_series(monkeypatch, n_scale, amplitude=None):
+    """The series function parabola_reference hands to weighted_norm_batch:
+    X -> (1 + caps, B), E g then the cap sums."""
+    seen = []
+
+    def capture(series, ball, ps, sampler):
+        seen.append(series)
+        return orig(series, ball, ps, sampler)
+
+    orig = harness.weighted_norm_batch
+    monkeypatch.setattr(harness, "weighted_norm_batch", capture)
+    parabola_reference(n_scale, 6.0, small_sampler(seed=1, budget=1024), amplitude=amplitude)
+    return seen[0]
+
+
+def parabola_lines(n_scale, amplitude=None, node_factor=1):
+    """Direct 1-D sums of the parabola's caps on the same Gauss nodes (more
+    with node_factor > 1), one phase table per interval."""
+    side = 2.0 ** -harness.cap_level_for(n_scale)
+    intervals = [(k * side, (k + 1) * side) for k in range(round(1 / side))]
+
+    def phase(t_nodes, x_batch):
+        return np.outer(t_nodes, x_batch[:, 0]) + np.outer(t_nodes ** 2, x_batch[:, 1])
+
+    x_max = harness._x_max(measurement_ball(2, n_scale))
+    return LineEvaluator(intervals, amplitude, phase, x_max, 3.0, node_factor), x_max
+
+
+def chirp(t):
+    return (1.0 + 0.5 * t) * np.exp(3j * t * t)
+
+
+@pytest.mark.parametrize("batch", [1, 700])
+@pytest.mark.parametrize("n_scale", [16, 64, 256])
+def test_parabola_cap_sums_match_direct_interval_sums(monkeypatch, n_scale, batch):
+    # the cap shift against one phase table per interval, with a
+    # non-constant complex amplitude, out to the corner (x_max, x_max); a
+    # batch of 700 is not a multiple of the sample block
+    series = parabola_series(monkeypatch, n_scale, chirp)
+    line, x_max = parabola_lines(n_scale, chirp)
+    x = np.random.default_rng(61).uniform(-x_max, x_max, size=(batch, 2))
+    if batch > 1:
+        # alone, the corner's values are cancellations far below the caps'
+        # size, under the rounding of either sum at 1e-12 of their size
+        x[0] = [x_max, x_max]
+    got = series(x)
+    want = line.interval_values(x)
+    assert got.shape == (1 + want.shape[0], batch)
+    assert np.abs(got[1:] - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(got[0] - want.sum(axis=0)).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_parabola_default_and_refined_quadrature_agree(monkeypatch):
+    # the benchmark's quadrature self-check on the N=256 cell
+    series = parabola_series(monkeypatch, 256)
+    fine, x_max = parabola_lines(256, node_factor=2)
+    x = np.random.default_rng(67).uniform(-x_max, x_max, size=(64, 2))
+    x[0] = [x_max, x_max]
+    want = fine.total(x)
+    assert np.abs(series(x)[0] - want).max() <= 1e-8 * np.abs(want).max()
+
+
+def test_parabola_reference_does_not_sum_phase_tables(monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("the parabola's caps go by the cap shift")
+
+    monkeypatch.setattr(fields_module, "_interval_sums", no_tables)
+    rep = parabola_reference(64, 6.0, small_sampler(seed=7, budget=2048))
+    assert np.isfinite(rep.ratio_l2)
+
+
+def test_parabola_rejects_a_ball_of_another_dimension():
+    with pytest.raises(ValueError, match="2-D ball"):
+        parabola_reference(16, 6.0, small_sampler(), ball=measurement_ball(4, 16))
 
 
 def test_curve_product_identity():
