@@ -28,7 +28,7 @@ from .grid import DyadicSquare, cap_level_for
 from .harness import (DecouplingReport, Sampler, ScenarioSpec, emit_plotdata,
                       fit_slope, flat_line_points, measure_linear,
                       measurement_ball, run_cell)
-from .norms import PoisonedEstimateError
+from .norms import PoisonedEstimateError, weight_mass
 from .rescale import rescaling_residual
 from .transversality import (jacobian_residual, min_abs_form,
                              transversality_graph)
@@ -97,8 +97,9 @@ def load_config(path: str) -> dict:
 
 
 def _check_values(cfg: dict):
-    """Build every cell's scenario (and overrides) and the sampler, so that a
-    value the harness rejects fails here and not in the middle of a run."""
+    """Build every cell's scenario (and overrides), ball and the sampler, and
+    the ball's weight mass, so that a value the harness rejects fails here
+    and not in the middle of a run."""
     try:
         _sampler_from(cfg, cfg["seed"])
     except (ValueError, TypeError) as exc:
@@ -115,6 +116,9 @@ def _check_values(cfg: dict):
                 _build_surface(raw["surface"])
             if "field" in raw:
                 _build_field(raw["field"], cap_level_for(spec.n_scale), spec.seed)
+            ball = _cell_ball(cfg, spec)
+            if ball is not None:
+                weight_mass(ball)
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 

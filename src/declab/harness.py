@@ -172,10 +172,16 @@ def _aggregate(values: np.ndarray, stderrs: np.ndarray, p: float) -> tuple[float
 class _CapGroups:
     """Maps evaluator cells (or atomic points) onto measurement caps.
 
-    Cap values are gathered, not scattered: each cap takes its first cell,
-    then the caps holding several cells add the rest in cell order, one
-    cell per cap per round, so the sums match an in-order scatter-add bit
-    for bit."""
+    When the cell -> cap index is non-decreasing and no cap is empty (as for
+    flat-line atoms, and for strip and indicator cells, whose caps are their
+    cells), the cap values are folded into the first rows of the new array
+    that `cell_values` returns: the cells of each cap are added, in cell
+    order, into the cap's first cell, and the cap sums then move down to
+    rows 0..caps-1 by contiguous copies.  No second (caps, B) table is
+    made.  Other fields are gathered into a new array: each cap takes its
+    first cell, the caps holding several cells add the rest in cell order,
+    one cell per cap per round, and empty caps read 0.  Both orders are an
+    in-order scatter-add's, bit for bit."""
 
     def __init__(self, ev: ExtensionEvaluator, caps: Sequence[DyadicSquare]):
         self.ev = ev
@@ -198,6 +204,8 @@ class _CapGroups:
                 key = (lev, cell.i >> shift, cell.j >> shift)
                 idx.append(lookup.get(key, -1))
             self.index = np.asarray(idx, dtype=int)
+        if not self.index.size:
+            raise AllCapsEmptyError("field has no support in the measurement caps")
         if np.any(self.index < 0):
             raise ValueError("field support escapes the requested caps")
         counts = np.bincount(self.index, minlength=len(self.caps))
@@ -207,6 +215,17 @@ class _CapGroups:
         self._empty = np.flatnonzero(counts == 0)
         self._rounds = [(np.flatnonzero(counts > r), order[starts[counts > r] + r])
                         for r in range(1, int(counts.max()))]
+        self._fold = None
+        if np.all(np.diff(self.index) >= 0) and not self._empty.size:
+            # the cells are in cap order, so order is the identity; cap k
+            # moves from row starts[k] >= k, in runs of equal shift
+            adds = [(starts[caps], cells) for caps, cells in self._rounds]
+            shift = starts - np.arange(len(self.caps))
+            cut = np.flatnonzero(np.diff(shift)) + 1
+            moves = [(int(lo), int(hi), int(shift[lo]))
+                     for lo, hi in zip(np.r_[0, cut], np.r_[cut, len(self.caps)])
+                     if shift[lo]]
+            self._fold = (adds, moves)
 
     def gather(self, cell_vals: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Writes the (caps, B) sums of the (cells, B) cell values to out."""
@@ -217,13 +236,30 @@ class _CapGroups:
             out[caps] += cell_vals[cells]
         return out
 
-    def total_and_caps(self, x_batch) -> np.ndarray:
-        """(1 + caps, B): E g on the batch, then the cap values, in one
-        buffer allocated once the cell values are in."""
-        cell_vals = self.ev.cell_values(x_batch)
-        buf = np.empty((1 + len(self.caps), len(x_batch)), dtype=complex)
-        np.sum(self.gather(cell_vals, buf[1:]), axis=0, out=buf[0])
-        return buf
+    def cap_rows(self, x_batch) -> np.ndarray:
+        """(caps, B): the cap values on the batch, folded into the cell
+        values' own array when the caps allow it, else gathered."""
+        # cell_values returns a new array, which the fold may overwrite
+        cell_vals = np.ascontiguousarray(self.ev.cell_values(x_batch))
+        if self._fold is None:
+            out = np.empty((len(self.caps), cell_vals.shape[1]), dtype=complex)
+            return self.gather(cell_vals, out)
+        adds, moves = self._fold
+        for firsts, cells in adds:
+            cell_vals[firsts] += cell_vals[cells]
+        flat = cell_vals.reshape(-1)
+        b = cell_vals.shape[1]
+        for lo, hi, d in moves:
+            # a 1-D copy to lower addresses needs no buffer for the overlap
+            flat[lo * b:hi * b] = flat[(lo + d) * b:(hi + d) * b]
+        return cell_vals[:len(self.caps)]
+
+    def total_and_caps(self, x_batch) -> tuple[np.ndarray, np.ndarray]:
+        """(E g, caps): E g on the batch, the sum of the cap rows, and the
+        (caps, B) cap values; `weighted_norm_batch` reads them as two row
+        blocks."""
+        caps = self.cap_rows(x_batch)
+        return caps.sum(axis=0), caps
 
 
 def _support_caps(field_in: AmplitudeField, level: int) -> list[DyadicSquare]:
@@ -270,16 +306,6 @@ def measure_linear(surface: SurfaceEvaluator, field_in: AmplitudeField,
 # bilinear measurements
 
 
-def _pair_rows(g1: _CapGroups, g2: _CapGroups, x_batch):
-    """(buf, caps1, caps2): a (1 + k1 + k2, B) buffer whose rows after the
-    first hold the cap values of both groups, and views of those rows."""
-    c1 = g1.ev.cell_values(x_batch)
-    c2 = g2.ev.cell_values(x_batch)
-    k1 = len(g1.caps)
-    buf = np.empty((1 + k1 + len(g2.caps), len(x_batch)), dtype=complex)
-    return buf, g1.gather(c1, buf[1:1 + k1]), g2.gather(c2, buf[1 + k1:])
-
-
 def _check_transverse(surface: SurfaceEvaluator, r1: DyadicSquare,
                       r2: DyadicSquare, nu: float) -> float:
     coeffs = getattr(surface, "coeffs", None)
@@ -313,9 +339,8 @@ def measure_bilinear(surface: SurfaceEvaluator,
     k1, k2 = len(caps1), len(caps2)
 
     def series(x_batch):
-        buf, v1, v2 = _pair_rows(g1, g2, x_batch)
-        buf[0] = np.sqrt(np.abs(v1.sum(axis=0) * v2.sum(axis=0)))
-        return buf
+        v1, v2 = g1.cap_rows(x_batch), g2.cap_rows(x_batch)
+        return np.sqrt(np.abs(v1.sum(axis=0) * v2.sum(axis=0))), v1, v2
 
     ests = weighted_norm_batch(series, ball, [p] * (1 + k1 + k2), sampler)
     lhs = ests[0]
@@ -363,11 +388,10 @@ def measure_square_function(surface: SurfaceEvaluator,
     k1, k2 = len(caps1), len(caps2)
 
     def series(x_batch):
-        buf, v1, v2 = _pair_rows(g1, g2, x_batch)
+        v1, v2 = g1.cap_rows(x_batch), g2.cap_rows(x_batch)
         s1 = (np.abs(v1) ** 2).sum(axis=0)
         s2 = (np.abs(v2) ** 2).sum(axis=0)
-        buf[0] = (s1 * s2) ** 0.25
-        return buf
+        return (s1 * s2) ** 0.25, v1, v2
 
     half = p / 2 if np.isfinite(p) else np.inf
     ests = weighted_norm_batch(series, ball, [p] + [half] * (k1 + k2), sampler)
@@ -522,11 +546,7 @@ def curve_bilinear(curve: CurveEvaluator, i1, i2,
     def series(x_batch):
         v1 = line1.interval_values(x_batch)
         v2 = line2.interval_values(x_batch)
-        buf = np.empty((1 + k1 + k2, len(x_batch)), dtype=complex)
-        buf[0] = np.sqrt(np.abs(v1.sum(axis=0) * v2.sum(axis=0)))
-        buf[1:1 + k1] = v1
-        buf[1 + k1:] = v2
-        return buf
+        return np.sqrt(np.abs(v1.sum(axis=0) * v2.sum(axis=0))), v1, v2
 
     ps = [12.0] + [6.0] * (k1 + k2)
     ests = weighted_norm_batch(series, ball, ps, sampler)

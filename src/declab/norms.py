@@ -6,7 +6,11 @@ identically 1 on the ball and shares the polynomial tail.  Sampling draws
 from the normalized weight (optionally defended by a mixture of shrunken
 copies, which controls the variance of integrands concentrated near the
 center); estimates are deterministic given (seed, budget) through fixed
-chunked reductions.  Within a chunk, the sums of |F|^p w/q and its square go
+chunked reductions.  Radii come from the radial CDF (tabulated at 2^14 + 1
+knots) by a cached inverse lookup that reproduces np.interp bit for bit: a
+table of 2^14 equal buckets of [0, 1) gives each draw its knot after one
+refinement step, and np.searchsorted takes the few draws whose bucket holds
+more than one knot.  Within a chunk, the sums of |F|^p w/q and its square go
 over cache-sized blocks of series rows, and a block whose series share an
 integer exponent raises by repeated multiplication instead of pow.
 """
@@ -22,6 +26,9 @@ from scipy import integrate
 
 CHUNK = 4096
 _CDF_KNOTS = 2 ** 14
+# Equal buckets of [0, 1) in the inverse-CDF table; a power of two, so the
+# bucket of u, floor(u * _CDF_BUCKETS), is exact.
+_CDF_BUCKETS = 2 ** 14
 
 
 class PoisonedEstimateError(RuntimeError):
@@ -53,8 +60,16 @@ class BallSpec:
     shape: str = "strict"
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in self.center):
+            raise ValueError(f"center must be finite, got {tuple(self.center)}")
+        if not math.isfinite(self.radius):
+            raise ValueError(f"radius must be finite, got {self.radius}")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
+        if not math.isfinite(self.decay):
+            raise ValueError(f"decay exponent must be finite, got {self.decay}")
+        if not math.isfinite(self.trunc):
+            raise ValueError(f"truncation factor must be finite, got {self.trunc}")
         if self.trunc <= 0:
             raise ValueError("truncation factor must be positive")
         if self.shape not in ("strict", "plateau"):
@@ -128,6 +143,7 @@ def weight_mass(ball: BallSpec) -> float:
 
 
 _cdf_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_lookup_cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 _tail_cache: dict[tuple, float] = {}
 
 
@@ -140,6 +156,33 @@ def _radial_cdf(ball: BallSpec) -> tuple[np.ndarray, np.ndarray]:
         cdf /= cdf[-1]
         _cdf_cache[key] = (u, cdf)
     return _cdf_cache[key]
+
+
+def _radial_lookup(ball: BallSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, wide, slope) for inverting `_radial_cdf` (same key):
+    first[b] is the last knot at or below b / _CDF_BUCKETS, wide[b] marks
+    the buckets that reach past the knot after first[b], and slope[j] is
+    np.interp's slope on knot interval j (inf on repeated knots, which no
+    draw lands in)."""
+    key = (ball.dim, ball.decay, ball.trunc, ball.shape)
+    if key not in _lookup_cache:
+        grid, cdf = _radial_cdf(ball)
+        edges = np.arange(_CDF_BUCKETS + 1) / _CDF_BUCKETS
+        first = np.searchsorted(cdf, edges, side="right") - 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (grid[1:] - grid[:-1]) / (cdf[1:] - cdf[:-1])
+        _lookup_cache[key] = (first[:-1], np.diff(first) > 1, slope)
+    return _lookup_cache[key]
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of v: the squared columns summed in
+    column order, then sqrt, which is np.linalg.norm(v, axis=1) bit for
+    bit in one pass per column."""
+    s = v[:, 0] * v[:, 0]
+    for k in range(1, v.shape[1]):
+        s += v[:, k] * v[:, k]
+    return np.sqrt(s, out=s)
 
 
 @dataclass(frozen=True)
@@ -182,27 +225,65 @@ class _MixtureProposal:
         self.radii = np.array(radii)
         k = len(radii)
         self.alphas = np.array([1.0]) if k == 1 else np.array([0.5] + [0.5 / (k - 1)] * (k - 1))
+        # Generator.choice(p=alphas) draws searchsorted(cumsum(p) / total,
+        # random(n), side="right"); the same stream gives the same indices
+        self._comp_cdf = self.alphas.cumsum()
+        self._comp_cdf /= self._comp_cdf[-1]
         self.zs = np.array([weight_mass(ball.scaled(r / ball.radius)) for r in self.radii])
         self.grid, self.cdf = _radial_cdf(ball)
+        self._first, self._wide, self._slope = _radial_lookup(ball)
         self.z_target = weight_mass(ball)
+
+    def _inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """np.interp(u, cdf, grid) for u in [0, 1), bit for bit: the knot j
+        is the last with cdf[j] <= u, and the value slope[j] (u - cdf[j]) +
+        grid[j], or grid[j] itself when u == cdf[j]."""
+        cdf = self.cdf
+        bucket = (u * _CDF_BUCKETS).astype(np.intp)
+        j = self._first[bucket]
+        j += cdf[j + 1] <= u
+        wide = np.flatnonzero(self._wide[bucket])
+        if wide.size:
+            j[wide] = np.searchsorted(cdf, u[wide], side="right") - 1
+        at = cdf[j]
+        knot = self.grid[j]
+        r = u - at
+        r *= self._slope[j]
+        r += knot
+        np.copyto(r, knot, where=(u == at))
+        return r
 
     def sample(self, seed: int, chunk_index: int, n: int):
         """Returns (points, target_weight / proposal_density)."""
         rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
-        comp = rng.choice(len(self.radii), size=n, p=self.alphas) if len(self.radii) > 1 \
-            else np.zeros(n, dtype=int)
-        r = np.interp(rng.random(n), self.cdf, self.grid) * self.radii[comp]
-        v = rng.standard_normal((n, self.ball.dim))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        x = np.asarray(self.ball.center) + r[:, None] * v
-        rr = np.linalg.norm(x - np.asarray(self.ball.center), axis=1)
-        q = np.zeros(n)
-        for a, rj, zj in zip(self.alphas, self.radii, self.zs):
-            u = rr / rj
-            q += a * np.where(u <= self.ball.trunc * 1.0000001,
-                              self.ball.radial_weight(u) / zj, 0.0)
-        w = self.ball.radial_weight(rr / self.ball.radius)
-        return x, w / q
+        several = len(self.radii) > 1
+        if several:
+            comp = self._comp_cdf.searchsorted(rng.random(n), side="right")
+        r = self._inverse_cdf(rng.random(n))
+        r *= self.radii[comp] if several else self.radii[0]
+        x = rng.standard_normal((n, self.ball.dim))
+        x /= _row_norms(x)[:, None]
+        x *= r[:, None]
+        center = np.asarray(self.ball.center)
+        x += center
+        # x - 0 is x, bit for bit
+        rr = _row_norms(x - center if np.any(center) else x)
+        # the full-radius component's weight is the target weight
+        lim = self.ball.trunc * 1.0000001
+        u = rr / self.ball.radius
+        w = self.ball.radial_weight(u)
+        q = w / self.zs[0]
+        q *= self.alphas[0]
+        q[u > lim] = 0.0
+        for a, rj, zj in zip(self.alphas[1:], self.radii[1:], self.zs[1:]):
+            np.divide(rr, rj, out=u)
+            inside = np.flatnonzero(u <= lim)
+            part = self.ball.radial_weight(u[inside])
+            part /= zj
+            part *= a
+            q[inside] += part
+        w /= q
+        return x, w
 
 
 @dataclass(frozen=True)
@@ -248,40 +329,58 @@ def _int_power(a: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_blocks(out) -> list[np.ndarray]:
+    """An evaluator's output as a list of 2-D blocks of series rows: a bare
+    array is one block, a sequence gives its blocks in order, and a 1-D
+    array or block is one row."""
+    blocks = [out] if isinstance(out, np.ndarray) else list(out)
+    return [b[None, :] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
+
+
 class _Accumulator:
     """Per-series sums of |F|^p w/q and its square, and the maximum of |F|,
-    over chunks of at most n samples.
+    over chunks of at most n samples whose series rows come in blocks of the
+    given sizes.
 
     Series rows go max(1, _ACCUM_BLOCK // n) at a time through two scratch
-    tables allocated once, so no temporary grows with the series count.  A
-    block whose series share an integer exponent raises by multiplication;
-    other blocks (mixed or non-integer p) use np.power.  p = inf series are
+    tables allocated once, so no temporary grows with the series count; a
+    group of rows that spans several input blocks is filled from each in
+    turn, and no per-row sum depends on where the blocks split.  A group
+    whose series share an integer exponent raises by multiplication; other
+    groups (mixed or non-integer p) use np.power.  p = inf series are
     summed at p = 1 and report only their maximum."""
 
-    def __init__(self, ps: Sequence[float], n: int):
+    def __init__(self, ps: Sequence[float], sizes: Sequence[int], n: int):
         nser = len(ps)
         finite_p = np.where(np.isfinite(ps), ps, 1.0)
+        bounds = np.cumsum([0, *sizes])
         self.rows = max(1, _ACCUM_BLOCK // n)
         self.blocks = []
         for lo in range(0, nser, self.rows):
-            pb = finite_p[lo:lo + self.rows]
+            hi = min(lo + self.rows, nser)
+            pb = finite_p[lo:hi]
             same = np.all(pb == pb[0]) and pb[0] == int(pb[0])
-            self.blocks.append((lo, int(pb[0]) if same else pb[:, None]))
+            # (input block, its first and end row, first scratch row)
+            segs = [(k, max(lo, s) - s, min(hi, e) - s, max(lo, s) - lo)
+                    for k, (s, e) in enumerate(zip(bounds[:-1], bounds[1:]))
+                    if max(lo, s) < min(hi, e)]
+            self.blocks.append((lo, hi, segs, int(pb[0]) if same else pb[:, None]))
         self.mag = np.empty((min(self.rows, nser), n))
         self.powed = np.empty_like(self.mag)
         self.s1, self.s2, self.maxes = np.zeros(nser), np.zeros(nser), np.zeros(nser)
         self._c1, self._c2, self._top = np.empty(nser), np.empty(nser), np.empty(nser)
 
-    def add(self, vals: np.ndarray, iw: np.ndarray, x: np.ndarray) -> None:
-        """Adds one (series, n) chunk of values F at the points x with
-        importance weights iw.  vals is only read.  A non-finite |F| raises
+    def add(self, blocks: Sequence[np.ndarray], iw: np.ndarray, x: np.ndarray) -> None:
+        """Adds one chunk of values F at the points x with importance
+        weights iw: the (rows, n) blocks of series, in series order.  The
+        blocks are only read.  A non-finite |F| raises
         PoisonedEstimateError for the first such (series, sample), before
         the chunk reaches the sums."""
-        n = vals.shape[1]
-        for lo, p in self.blocks:
-            hi = min(lo + self.rows, vals.shape[0])
+        n = blocks[0].shape[1]
+        for lo, hi, segs, p in self.blocks:
             mag = self.mag[:hi - lo, :n]
-            np.abs(vals[lo:hi], out=mag)
+            for k, a, e, d in segs:
+                np.abs(blocks[k][a:e], out=mag[d:d + e - a])
             top = np.max(mag, axis=1, out=self._top[lo:hi])   # NaN and inf propagate
             if not np.all(np.isfinite(top)):
                 bad = np.argwhere(~np.isfinite(mag))
@@ -299,16 +398,18 @@ class _Accumulator:
         np.maximum(self.maxes, self._top, out=self.maxes)
 
 
-def weighted_norm_batch(evaluator: Callable[[np.ndarray], np.ndarray],
+def weighted_norm_batch(evaluator: Callable[[np.ndarray], object],
                         ball: BallSpec, ps: Sequence[float],
                         sampler: Sampler) -> list[NormEstimate]:
     """(int |F_k|^{p_k} w)^{1/p_k} for a family of integrands on common
     random numbers.
 
-    evaluator(X) must return an (n_series, B) array (complex or real) for a
-    batch X of shape (B, dim).  All series share the sample set, so ratios
-    of the returned values have strongly reduced variance.  p = inf series
-    return the sample maximum and are flagged approximate.
+    evaluator(X) returns the series on a batch X of shape (B, dim): an
+    (n_series, B) array (complex or real), or a sequence of row blocks,
+    each (rows, B) or a single (B,) row, whose rows in order are the
+    series.  All series share the sample set, so ratios of the returned
+    values have strongly reduced variance.  p = inf series return the
+    sample maximum and are flagged approximate.
     """
     ps = [float(p) for p in ps]
     if any(p < 1.0 for p in ps):
@@ -322,14 +423,13 @@ def weighted_norm_batch(evaluator: Callable[[np.ndarray], np.ndarray],
     while tot < sampler.budget:
         n = min(sampler.chunk, sampler.budget - tot)
         x, iw = prop.sample(sampler.seed, k, n)
-        vals = np.asarray(evaluator(x))
-        if vals.ndim == 1:
-            vals = vals[None, :]
+        blocks = _row_blocks(evaluator(x))
         if acc is None:
-            if len(ps) != vals.shape[0]:
+            sizes = [len(b) for b in blocks]
+            if len(ps) != sum(sizes):
                 raise ValueError("one exponent per series required")
-            acc = _Accumulator(ps, n)
-        acc.add(vals, iw, x)
+            acc = _Accumulator(ps, sizes, n)
+        acc.add(blocks, iw, x)
         tot += n
         k += 1
     s1, s2, maxes = acc.s1, acc.s2, acc.maxes
@@ -381,9 +481,7 @@ def _lattice_norm_batch(evaluator, ball: BallSpec, ps, sampler: Sampler) -> list
     nser = None
     for start in range(0, x.shape[0], sampler.chunk):
         xb = x[start:start + sampler.chunk]
-        vals = np.abs(np.asarray(evaluator(xb)))
-        if vals.ndim == 1:
-            vals = vals[None, :]
+        vals = np.abs(np.concatenate(_row_blocks(evaluator(xb))))
         if sums is None:
             nser = vals.shape[0]
             if len(ps) != nser:

@@ -104,8 +104,13 @@ def test_example_subcommand(capsys):
     ["--kind", "indicator", "--N", "16", "--center", "1,a"],
     ["--kind", "indicator", "--N", "16", "--center", "0,0"],
     ["--kind", "parabola-2d", "--N", "16", "--center", "0,0,0,0"],
+    ["--kind", "flat-line", "--N", "64", "--center", "nan,0,0,0"],
+    ["--kind", "indicator", "--N", "16", "--center", "inf,0,0,0"],
+    ["--kind", "strip", "--K", "4", "--center", "0,-inf,0,0"],
+    ["--kind", "parabola-2d", "--N", "16", "--center", "0,nan"],
 ], ids=["budget=10", "N=0", "strip-K=3", "strip-K=0", "center=1,a",
-        "indicator-2d-center", "parabola-4d-center"])
+        "indicator-2d-center", "parabola-4d-center", "flat-line-nan-center",
+        "indicator-inf-center", "strip-minus-inf-center", "parabola-nan-center"])
 def test_example_bad_input_is_a_config_error(capsys, argv):
     # every case fails before any sampling
     rc = main(["example", *argv])
@@ -299,4 +304,27 @@ def test_bad_value_rejected_at_load(tmp_path, capsys, scenario, sampler):
     rc = main(["measure", "--config", str(cfg_path)])
     assert rc == EXIT_SCHEMA
     assert "config error" in capsys.readouterr().err
+    assert not any(tmp_path.joinpath(name).exists() for name in ("report.json", "rows.csv"))
+
+
+@pytest.mark.parametrize("ball", [
+    {"E": 2},
+    {"T": -1},
+    {"T": float("inf")},
+    {"E": float("nan")},
+    {"center": [float("nan"), 0, 0, 0]},
+    {"center": [0, float("inf"), 0, 0]},
+    {"shape": "box"},
+], ids=["E=2", "T=-1", "T=inf", "E=nan", "center-nan", "center-inf", "shape=box"])
+def test_bad_ball_rejected_at_load(tmp_path, capsys, ball):
+    # each used to pass the load check and fail mid-run with a traceback
+    cfg_path = tmp_path / "run.json"
+    outputs = {"report": str(tmp_path / "report.json"), "csv": str(tmp_path / "rows.csv")}
+    write_config(cfg_path, ball=ball, outputs=outputs)
+    with pytest.raises(ConfigError, match="ball|decay|radius|center|trunc|shape"):
+        load_config(str(cfg_path))
+    rc = main(["measure", "--config", str(cfg_path)])
+    assert rc == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
     assert not any(tmp_path.joinpath(name).exists() for name in ("report.json", "rows.csv"))

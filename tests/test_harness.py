@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from declab import fields as fields_module
 from declab import harness
 from declab.fields import AmplitudeField, LineEvaluator, extension_evaluator
 from declab.geometry import moment_curve, quad_surface
-from declab.grid import CapPartition, DyadicSquare
+from declab.grid import CapPartition, DyadicSquare, cap_level_for
 from declab.harness import (FLAT_LINE_COEFFS, SEPARABLE_COEFFS,
                             AllCapsEmptyError, DecouplingReport, _CapGroups,
                             NonTransverseError, OverlappingSquaresError,
@@ -19,7 +20,7 @@ from declab.harness import (FLAT_LINE_COEFFS, SEPARABLE_COEFFS,
                             measure_trivial, measurement_ball,
                             parabola_reference, predicted_exponent, run_cell,
                             scaling_study, scenario)
-from declab.norms import Sampler
+from declab.norms import Sampler, _MixtureProposal
 
 SURF = quad_surface(SEPARABLE_COEFFS)
 
@@ -398,10 +399,10 @@ def test_cap_groups_match_scatter_add_bit_for_bit():
     x = np.random.default_rng(8).uniform(-6.0, 6.0, size=(64, 4))
     want = np.zeros((len(caps), len(x)), dtype=complex)
     np.add.at(want, groups.index, ev.cell_values(x))
-    got = groups.total_and_caps(x)
-    np.testing.assert_array_equal(got[1:], want)
-    np.testing.assert_array_equal(got[0], want.sum(axis=0))
-    empty = [1 + k for k, c in enumerate(caps) if (c.i, c.j) == (1, 1)]
+    total, got = groups.total_and_caps(x)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(total, want.sum(axis=0))
+    empty = [k for k, c in enumerate(caps) if (c.i, c.j) == (1, 1)]
     assert np.all(got[empty] == 0)
 
 
@@ -415,3 +416,89 @@ def test_default_and_refined_quadrature_agree_off_origin():
                           ball=ball)
     assert base.ratio_lp == pytest.approx(fine.ratio_lp, rel=1e-9)
     assert base.lhs.value == pytest.approx(fine.lhs.value, rel=1e-9)
+
+
+@pytest.mark.parametrize("zero", ["atomic", "continuous"])
+def test_trivial_zero_field_rejected(zero):
+    # the flat-line atoms restricted to a square they miss, and a constant
+    # field with no cells: both used to raise IndexError while grouping
+    if zero == "atomic":
+        bundle = scenario(ScenarioSpec(kind="flat-line", n_scale=64))
+        surface, field = bundle.surface, bundle.fields[0].restrict(DyadicSquare(1, 1, 1))
+    else:
+        surface, field = SURF, AmplitudeField.constant(1, support=[])
+    with pytest.raises(AllCapsEmptyError):
+        measure_trivial(surface, field, [DyadicSquare(1, 0, 0), DyadicSquare(1, 1, 1)],
+                        6.0, small_sampler())
+
+
+THREE_IN_ONE = np.array([[0.1, 0.1], [0.12, 0.11], [0.13, 0.2], [0.6, 0.7], [0.9, 0.1]])
+
+
+def cap_case(name):
+    """(evaluator, caps, whether the caps fold in place, ball) of one case."""
+    flat = quad_surface(FLAT_LINE_COEFFS)
+    n_scale = 16.0
+    if name.startswith("flat-line-"):
+        n_scale = float(name.split("-")[-1])
+        field = scenario(ScenarioSpec(kind="flat-line", n_scale=n_scale)).fields[0]
+        surface, caps, fold = flat, harness._support_caps(field, cap_level_for(n_scale)), True
+    elif name == "three-atoms-one-cap":
+        field = AmplitudeField.atomic(THREE_IN_ONE, np.arange(1, 6) * (1 + 0.5j))
+        surface, caps, fold = flat, harness._support_caps(field, 2), True
+    elif name == "unsorted-atoms":
+        field = AmplitudeField.atomic(THREE_IN_ONE[::-1].copy(), np.arange(1, 6) * (1 - 0.5j))
+        surface, caps, fold = flat, harness._support_caps(field, 2), False
+    elif name == "empty-cap":
+        # atoms in cap order, but the last cap holds none
+        field = scenario(ScenarioSpec(kind="flat-line", n_scale=64)).fields[0]
+        caps = [DyadicSquare(1, 0, 0), DyadicSquare(1, 0, 1), DyadicSquare(1, 1, 0)]
+        surface, fold = flat, False
+    elif name == "strip":
+        bundle = scenario(ScenarioSpec(kind="strip", k_squares=8))
+        surface, field, caps, fold = bundle.surface, bundle.fields[0], bundle.squares, True
+        n_scale = 8.0
+    else:
+        n_scale = 64.0
+        field = scenario(ScenarioSpec(kind="indicator", n_scale=n_scale)).fields[0]
+        surface, caps, fold = SURF, harness._support_caps(field, cap_level_for(n_scale)), True
+    ball = measurement_ball(4, n_scale)
+    return extension_evaluator(surface, field, harness._x_max(ball)), caps, fold, ball
+
+
+@pytest.mark.parametrize("name", ["flat-line-64", "flat-line-1024", "flat-line-16384",
+                                  "flat-line-100", "three-atoms-one-cap",
+                                  "unsorted-atoms", "empty-cap", "strip", "indicator"])
+def test_cap_fold_matches_gather_bit_for_bit(name):
+    # E g and the cap rows handed to weighted_norm_batch against the gather
+    # into a (1 + caps, B) buffer, bit for bit
+    ev, caps, fold, ball = cap_case(name)
+    groups = _CapGroups(ev, caps)
+    assert (groups._fold is not None) == fold
+    if name == "flat-line-100":
+        assert ev._split is None          # the direct atomic path
+    x, _ = _MixtureProposal(ball, defensive=True).sample(3, 0, 1000)
+    want = np.empty((1 + len(caps), len(x)), dtype=complex)
+    np.sum(groups.gather(ev.cell_values(x), want[1:]), axis=0, out=want[0])
+    total, got = groups.total_and_caps(x)
+    assert got.shape == want[1:].shape and got.dtype == want.dtype
+    assert total.tobytes() == want[0].tobytes()
+    assert np.ascontiguousarray(got).tobytes() == want[1:].tobytes()
+
+
+def test_flat_line_cap_fold_builds_no_second_table():
+    # Bound fixed beforehand: the (128, 4096) complex cell table of one
+    # flat-line N=16384 chunk (8.4 MB) plus half a (127, 4096) cap table
+    # (4.2 MB).  Gathering into a second (1 + caps, B) buffer adds 8.4 MB.
+    ev, caps, _, ball = cap_case("flat-line-16384")
+    groups = _CapGroups(ev, caps)
+    x, _ = _MixtureProposal(ball, defensive=True).sample(3, 0, 4096)
+    groups.total_and_caps(x)
+    tracemalloc.start()
+    try:
+        groups.total_and_caps(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ev.n_cells == 128 and len(caps) == 127
+    assert peak < 16 * 4096 * (128 + 127 / 2)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from declab.fields import AmplitudeField, extension_evaluator
 from declab.geometry import random_admissible, quad_surface
@@ -320,3 +322,99 @@ def test_accumulation_memory_stays_within_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+def reference_sample(prop, seed, chunk_index, n):
+    """_MixtureProposal.sample as it was before the inverse-CDF table, the
+    oracle of the fast sampler: rng.choice for the component, np.interp over
+    the knots for the radius, np.linalg.norm for the row norms, and every
+    component's weight over every sample."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
+    comp = rng.choice(len(prop.radii), size=n, p=prop.alphas) if len(prop.radii) > 1 \
+        else np.zeros(n, dtype=int)
+    r = np.interp(rng.random(n), prop.cdf, prop.grid) * prop.radii[comp]
+    v = rng.standard_normal((n, prop.ball.dim))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    x = np.asarray(prop.ball.center) + r[:, None] * v
+    rr = np.linalg.norm(x - np.asarray(prop.ball.center), axis=1)
+    q = np.zeros(n)
+    for a, rj, zj in zip(prop.alphas, prop.radii, prop.zs):
+        u = rr / rj
+        q += a * np.where(u <= prop.ball.trunc * 1.0000001,
+                          prop.ball.radial_weight(u) / zj, 0.0)
+    w = prop.ball.radial_weight(rr / prop.ball.radius)
+    return x, w / q
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_sample_matches_reference(prop, seed, chunk_index, n):
+    x, w = prop.sample(seed, chunk_index, n)
+    x0, w0 = reference_sample(prop, seed, chunk_index, n)
+    assert np.array_equal(x, x0) and np.array_equal(w, w0)
+    assert_same_bits(x, x0)       # signed zeros included
+    assert_same_bits(w, w0)
+
+
+@pytest.mark.parametrize("defensive", [True, False])
+@pytest.mark.parametrize("decay", [12.0, 100.0])
+@pytest.mark.parametrize("shape", ["strict", "plateau"])
+@pytest.mark.parametrize("dim, center", [(2, (0.0, 0.0)), (2, (200.0, -3.5)),
+                                         (4, (0.0,) * 4), (4, (200.0, 0.0, 0.0, -3.5))])
+def test_sampler_matches_reference_bit_for_bit(dim, center, shape, decay, defensive):
+    for radius in (16.0, 1024.0):
+        prop = _MixtureProposal(BallSpec(center=center, radius=radius, decay=decay,
+                                         shape=shape), defensive)
+        for n in (1, 1000, 4096):
+            for chunk_index in (0, 7):
+                assert_sample_matches_reference(prop, 5, chunk_index, n)
+
+
+@pytest.mark.parametrize("dim, decay, shape", [(4, 100.0, "plateau"), (4, 100.0, "strict"),
+                                                (2, 12.0, "strict"), (2, 100.0, "plateau")])
+def test_inverse_cdf_matches_interp_at_and_between_knots(dim, decay, shape):
+    # draws exactly at a knot, one ulp either side of it and at the bucket
+    # edges, which random draws almost never hit; decay 100 repeats knots
+    # in the tail of the CDF
+    prop = _MixtureProposal(BallSpec.at_origin(dim, 1.0, decay=decay, shape=shape), False)
+    cdf = prop.cdf
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                        np.arange(2 ** 14) / 2 ** 14,
+                        np.random.default_rng(5).random(20000)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert_same_bits(prop._inverse_cdf(u), np.interp(u, cdf, prop.grid))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), chunk_index=st.integers(0, 10 ** 4),
+       n=st.integers(1, 4096), dim=st.integers(2, 4),
+       radius=st.floats(0.5, 5000.0),
+       offset=st.floats(-1000.0, 1000.0),
+       decay=st.sampled_from([8.0, 12.0, 100.0]),
+       trunc=st.sampled_from([2.0, 4.0]),
+       shape=st.sampled_from(["strict", "plateau"]),
+       defensive=st.booleans())
+def test_sampler_matches_reference_property(seed, chunk_index, n, dim, radius, offset,
+                                            decay, trunc, shape, defensive):
+    center = (offset,) + (0.0,) * (dim - 1)
+    ball = BallSpec(center=center, radius=radius, decay=decay, trunc=trunc, shape=shape)
+    assert_sample_matches_reference(_MixtureProposal(ball, defensive), seed,
+                                    chunk_index, n)
+
+
+@pytest.mark.parametrize("field, value", [("center", (0.0, float("nan"))),
+                                          ("center", (float("inf"), 0.0)),
+                                          ("radius", float("nan")),
+                                          ("radius", float("inf")),
+                                          ("decay", float("nan")),
+                                          ("decay", float("inf")),
+                                          ("trunc", float("nan")),
+                                          ("trunc", float("inf"))])
+def test_ball_rejects_non_finite_values(field, value):
+    kw = {"center": (0.0, 0.0), "radius": 4.0, "decay": 12.0, "trunc": 4.0}
+    kw[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        BallSpec(**kw)

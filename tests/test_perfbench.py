@@ -1,6 +1,7 @@
 """Smoke runs of the benchmark, so that it keeps working as the package
 changes: short config-mix, strip and indicator runs in a temporary copy of
-the checkout, and one traced config-mix run for the tracer's patch points."""
+the checkout, and traced config-mix and flatline runs for the tracer's patch
+points."""
 
 import json
 import shutil
@@ -45,3 +46,10 @@ def test_traced_config_mix_benchmark_smoke(tmp_path):
     # the tracer wraps LineEvaluator.__init__'s phase argument and calls
     # cell_values(ev, X); a change to either breaks only a traced run
     smoke_run(tmp_path, "config-mix", trace=1)
+
+
+def test_traced_flatline_benchmark_smoke(tmp_path):
+    # the traced atomic engine: the tracer's cell_values(ev, X) wrapper under
+    # the in-place cap fold, and the evaluator's row blocks handed through
+    # the tracer's evaluator wrapper to the accumulator
+    smoke_run(tmp_path, "flatline", trace=1)
