@@ -26,8 +26,7 @@ from .geometry import (QuadCoeffs, curve_lift, moment_curve, quad_surface,
                        random_admissible)
 from .grid import DyadicSquare, cap_level_for
 from .harness import (DecouplingReport, Sampler, ScenarioSpec, emit_plotdata,
-                      fit_slope, flat_line_points, measure_linear,
-                      measurement_ball, run_cell)
+                      measure_linear, measurement_ball, run_cell, slope_series)
 from .norms import PoisonedEstimateError, weight_mass
 from .rescale import rescaling_residual
 from .transversality import (jacobian_residual, min_abs_form,
@@ -92,6 +91,10 @@ def load_config(path: str) -> dict:
     _check_keys(cfg.get("sampler", {}), _SAMPLER_KEYS, "sampler")
     _check_keys(cfg.get("ball", {}), _BALL_KEYS, "ball")
     _check_keys(cfg.get("outputs", {}), _OUTPUT_KEYS, "outputs")
+    budget = cfg.get("time_budget_s", 0.0)
+    if isinstance(budget, bool) or not isinstance(budget, (int, float)) \
+            or not 0 <= budget < np.inf:
+        raise ConfigError(f"time_budget_s must be a finite number >= 0, got {budget!r}")
     _check_values(cfg)
     return cfg
 
@@ -111,7 +114,7 @@ def _check_values(cfg: dict):
     for cell, spec, raw in cells:
         where = f"scenario {cell.scenario_index} ({cell.kind}, N={spec.n_scale:g})"
         try:
-            _check_spec(spec)
+            harness.scenario(spec)
             if "surface" in raw:
                 _build_surface(raw["surface"])
             if "field" in raw:
@@ -121,13 +124,6 @@ def _check_values(cfg: dict):
                 weight_mass(ball)
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _check_spec(spec: ScenarioSpec):
-    """Raise ValueError for a scenario the harness would reject mid-run."""
-    if not spec.p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {spec.p:g}")
-    harness.scenario(spec)
 
 
 def _build_surface(spec: dict):
@@ -150,8 +146,8 @@ def _build_field(spec: dict, level: int, default_seed: int) -> AmplitudeField:
         return AmplitudeField.random_phase(level, int(spec.get("seed", default_seed)))
     if mode == "atomic":
         if spec.get("kind") == "flat-line":
-            pts = flat_line_points(float(spec["N"]))
-            return AmplitudeField.atomic(pts, np.ones(len(pts)))
+            flat = ScenarioSpec(kind="flat-line", n_scale=float(spec["N"]))
+            return harness.scenario(flat).fields[0]
         pts = np.asarray(spec["points"], dtype=float)
         amps_raw = spec.get("amps")
         if amps_raw is None:
@@ -212,7 +208,7 @@ def _expand_cells(cfg: dict) -> list[tuple[_Cell, ScenarioSpec, dict]]:
         for n in n_list:
             for p in p_list:
                 spec = ScenarioSpec(kind=kind, n_scale=float(n), p=float(p),
-                                    k_squares=int(sc.get("K", 8)),
+                                    k_squares=sc.get("K", 8),
                                     nu=float(sc.get("nu", 0.25)),
                                     seed=int(sc.get("seed", cfg["seed"])),
                                     i1=tuple(sc.get("I1", (0.0, 0.25))),
@@ -230,19 +226,12 @@ def _cell_ball(cfg: dict, spec: ScenarioSpec):
 
 
 def _run_custom_cell(spec: ScenarioSpec, raw: dict, sampler: Sampler, ball):
-    """Linear measurement over a config-specified surface and/or field."""
-    surface = (_build_surface(raw["surface"]) if "surface" in raw
-               else harness.scenario(spec).surface)
-    level = cap_level_for(spec.n_scale)
-    if "field" in raw:
-        amp = _build_field(raw["field"], level, spec.seed)
-    elif spec.kind == "flat-line":
-        pts = flat_line_points(spec.n_scale)
-        amp = AmplitudeField.atomic(pts, np.ones(len(pts)))
-    elif spec.kind == "random-phase":
-        amp = AmplitudeField.random_phase(level, spec.seed)
-    else:
-        amp = AmplitudeField.constant(level)
+    """Linear measurement over a config-specified surface and/or field; the
+    scenario's own surface and field fill in the one not given."""
+    bundle = harness.scenario(spec)
+    surface = _build_surface(raw["surface"]) if "surface" in raw else bundle.surface
+    amp = (_build_field(raw["field"], cap_level_for(spec.n_scale), spec.seed)
+           if "field" in raw else bundle.fields[0])
     rep = measure_linear(surface, amp, spec.n_scale, spec.p, sampler, ball=ball)
     rep.kind = spec.kind
     rep.meta["customized"] = sorted(k for k in ("surface", "field") if k in raw)
@@ -330,7 +319,10 @@ def cmd_measure(args) -> int:
         write_csv(csv_path, reports)
     if slopes_path:
         with open(slopes_path, "w") as fh:
-            json.dump(_slope_payload(reports), fh, indent=2, sort_keys=True)
+            json.dump({s.key: {"slope": s.fit.slope, "stderr": s.fit.stderr,
+                               "ratio": s.ratio, "points": s.fit.n_points}
+                       for s in slope_series(reports)[0] if s.fit is not None},
+                      fh, indent=2, sort_keys=True)
     if plot_path:
         with open(plot_path, "w") as fh:
             json.dump(emit_plotdata(reports), fh, indent=2, sort_keys=True)
@@ -341,27 +333,6 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _slope_payload(reports) -> dict:
-    groups: dict[tuple[str, float], list[DecouplingReport]] = {}
-    for rep in reports:
-        groups.setdefault((rep.kind, rep.p), []).append(rep)
-    out = {}
-    for (kind, p), reps in sorted(groups.items()):
-        if len(reps) < 3:
-            continue
-        reps = sorted(reps, key=lambda r: r.n_scale)
-        key_ratio = "ratio_l2" if kind in ("flat-line", "parabola-2d") else "ratio_lp"
-        try:
-            fitted = fit_slope([r.n_scale for r in reps],
-                               [getattr(r, key_ratio) for r in reps],
-                               [r.ratio_rel_stderr for r in reps])
-        except (ValueError, FloatingPointError):
-            continue
-        out[f"{kind}:p={p:g}"] = {"slope": fitted.slope, "stderr": fitted.stderr,
-                                  "ratio": key_ratio, "points": fitted.n_points}
-    return out
-
-
 def cmd_example(args) -> int:
     # build everything the run needs first, so that bad input fails with a
     # one-line message, as `measure` does at load
@@ -370,7 +341,7 @@ def cmd_example(args) -> int:
     try:
         spec = ScenarioSpec(kind=args.kind, n_scale=args.N, p=args.p,
                             k_squares=args.K, nu=args.nu, seed=args.seed)
-        _check_spec(spec)
+        harness.scenario(spec)
         sampler = Sampler(budget=args.budget, seed=args.seed)
         center = None
         if args.center:

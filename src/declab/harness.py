@@ -20,8 +20,9 @@ about mass spread over the full ball, which the strict paper-form weight
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -148,21 +149,15 @@ class DecouplingReport:
         return d
 
 
-def _aggregate(values: np.ndarray, stderrs: np.ndarray, p: float) -> tuple[float, float, float, float]:
-    """(rhs_lp, se_lp, rhs_l2, se_l2) from per-cap norm estimates."""
-    values = np.asarray(values, dtype=float)
-    stderrs = np.asarray(stderrs, dtype=float)
+def _aggregate(values: np.ndarray, stderrs: np.ndarray, p: float) -> tuple[float, float, float]:
+    """(rhs_lp, se_lp, rhs_l2) from per-cap norm estimates."""
+    rhs_l2 = float(np.sqrt((values ** 2).sum()))
     if not np.isfinite(p):
-        return float(values.max()), 0.0, float(np.sqrt((values ** 2).sum())), 0.0
-    sp = (values ** p).sum()
-    rhs_lp = sp ** (1.0 / p)
+        return float(values.max()), 0.0, rhs_l2
+    rhs_lp = (values ** p).sum() ** (1.0 / p)
     var_sp = ((p * values ** (p - 1) * stderrs) ** 2).sum()
     se_lp = np.sqrt(var_sp) / (p * rhs_lp ** (p - 1)) if rhs_lp > 0 else 0.0
-    s2 = (values ** 2).sum()
-    rhs_l2 = np.sqrt(s2)
-    var_s2 = ((2 * values * stderrs) ** 2).sum()
-    se_l2 = np.sqrt(var_s2) / (2 * rhs_l2) if rhs_l2 > 0 else 0.0
-    return float(rhs_lp), float(se_lp), float(rhs_l2), float(se_l2)
+    return float(rhs_lp), float(se_lp), rhs_l2
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +182,16 @@ class _CapGroups:
         self.ev = ev
         self.caps = list(caps)
         lookup = {(sq.level, sq.i, sq.j): k for k, sq in enumerate(self.caps)}
+        lev = self.caps[0].level if self.caps else 0
         if ev.field.mode == "atomic":
-            pts = ev.field.points
-            idx = []
-            for t, s in pts:
-                sq = square_at(self.caps[0].level, t, s) if self.caps else None
-                idx.append(lookup.get((sq.level, sq.i, sq.j), -1))
-            self.index = np.asarray(idx, dtype=int)
+            keys = [(sq.level, sq.i, sq.j) for sq in (square_at(lev, t, s)
+                                                      for t, s in ev.field.points)]
         else:
-            lev = self.caps[0].level if self.caps else 0
-            idx = []
-            for cell in ev.field.cells:
-                shift = cell.level - lev
-                if shift < 0:
-                    raise ValueError("cells coarser than measurement caps")
-                key = (lev, cell.i >> shift, cell.j >> shift)
-                idx.append(lookup.get(key, -1))
-            self.index = np.asarray(idx, dtype=int)
+            if any(cell.level < lev for cell in ev.field.cells):
+                raise ValueError("cells coarser than measurement caps")
+            keys = [(lev, c.i >> (c.level - lev), c.j >> (c.level - lev))
+                    for c in ev.field.cells]
+        self.index = np.array([lookup.get(key, -1) for key in keys], dtype=int)
         if not self.index.size:
             raise AllCapsEmptyError("field has no support in the measurement caps")
         if np.any(self.index < 0):
@@ -254,19 +242,74 @@ class _CapGroups:
             flat[lo * b:hi * b] = flat[(lo + d) * b:(hi + d) * b]
         return cell_vals[:len(self.caps)]
 
-    def total_and_caps(self, x_batch) -> tuple[np.ndarray, np.ndarray]:
-        """(E g, caps): E g on the batch, the sum of the cap rows, and the
-        (caps, B) cap values; `weighted_norm_batch` reads them as two row
-        blocks."""
-        caps = self.cap_rows(x_batch)
-        return caps.sum(axis=0), caps
-
 
 def _support_caps(field_in: AmplitudeField, level: int) -> list[DyadicSquare]:
     caps = list(field_in.support_squares(level))
     if not caps:
         raise AllCapsEmptyError("field has empty support at the requested cap level")
     return caps
+
+
+def _cap_source(surface: SurfaceEvaluator, field_in: AmplitudeField,
+                caps: Sequence[DyadicSquare], x_max: float):
+    """(rows, count): the cap rows of the field's extension and their count."""
+    return _CapGroups(extension_evaluator(surface, field_in, x_max), caps).cap_rows, len(caps)
+
+
+# ---------------------------------------------------------------------------
+# the measurement core
+
+
+def _total(caps: np.ndarray) -> np.ndarray:
+    """E g: the sum of the cap rows."""
+    return caps.sum(axis=0)
+
+
+def _geometric_mean(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """|E1 E2|^{1/2} from the cap rows of the two pieces."""
+    return np.sqrt(np.abs(v1.sum(axis=0) * v2.sum(axis=0)))
+
+
+def _measure(make_sources: Callable, lhs: Callable, rhs: Callable, p: float, p_caps: float,
+             sampler: Sampler, ball: BallSpec | None, *, kind: str, n_scale: float,
+             dim: int = 4, cap_level: int | None = None, caps_total: int | None = None,
+             meta: dict | None = None) -> DecouplingReport:
+    """One measurement cell, on common random numbers.
+
+    make_sources(x_max) builds the cap sources, resolved for samples within
+    x_max in sup norm: (rows, count) pairs, rows(x_batch) giving a (count, B)
+    block of cap values.  lhs(*blocks) is the left-hand integrand, normed in L^p,
+    and every cap is normed in L^p_caps.  rhs(values, stderrs), one array of
+    cap norms per source, returns (rhs_lp, se_lp, rhs_l2 or None).  The ball
+    defaults to the measurement ball of radius N in R^dim, the cap level to
+    N's and caps_total to the number of caps measured."""
+    t0 = time.perf_counter()
+    ball = ball or measurement_ball(dim, n_scale)
+    if ball.dim != dim:
+        raise ValueError(f"{kind} needs a {dim}-D ball, got dimension {ball.dim}")
+    sources = make_sources(_x_max(ball))
+
+    def series(x_batch):
+        blocks = [rows(x_batch) for rows, _ in sources]
+        return (lhs(*blocks), *blocks)
+
+    counts = [count for _, count in sources]
+    ests = weighted_norm_batch(series, ball, [p] + [p_caps] * sum(counts), sampler)
+    values = np.array([e.value for e in ests[1:]])
+    stderrs = np.array([e.stderr or 0.0 for e in ests[1:]])
+    cuts = np.cumsum(counts)[:-1]
+    rhs_lp, se_lp, rhs_l2 = rhs(np.split(values, cuts), np.split(stderrs, cuts))
+    lhs_value = ests[0].value
+    return DecouplingReport(
+        kind=kind, n_scale=float(n_scale), p=float(p),
+        cap_level=cap_level_for(n_scale) if cap_level is None else cap_level,
+        lhs=ests[0], rhs_lp=float(rhs_lp), rhs_lp_stderr=float(se_lp),
+        ratio_lp=lhs_value / rhs_lp if rhs_lp > 0 else np.inf, rhs_l2=rhs_l2,
+        ratio_l2=None if rhs_l2 is None else lhs_value / rhs_l2 if rhs_l2 > 0 else np.inf,
+        per_cap=values.tolist(), per_cap_stderr=stderrs.tolist(),
+        caps_total=sum(counts) if caps_total is None else caps_total,
+        seed=sampler.seed, budget=sampler.budget,
+        runtime_ms=(time.perf_counter() - t0) * 1e3, meta=meta or {})
 
 
 # ---------------------------------------------------------------------------
@@ -279,42 +322,33 @@ def measure_linear(surface: SurfaceEvaluator, field_in: AmplitudeField,
                    cap_level: int | None = None) -> DecouplingReport:
     """Cap decoupling ratio at scale N: caps of side 2^-ceil(log2 sqrt(N)),
     weighted norms over a ball of radius N."""
-    t0 = time.perf_counter()
     m = cap_level_for(n_scale) if cap_level is None else cap_level
-    if ball is None:
-        ball = measurement_ball(4, n_scale)
     caps = _support_caps(field_in, m)
-    ev = extension_evaluator(surface, field_in, _x_max(ball))
-    groups = _CapGroups(ev, caps)
-    ests = weighted_norm_batch(groups.total_and_caps, ball, [p] * (len(caps) + 1), sampler)
-    lhs = ests[0]
-    cap_vals = np.array([e.value for e in ests[1:]])
-    cap_ses = np.array([e.stderr or 0.0 for e in ests[1:]])
-    rhs_lp, se_lp, rhs_l2, _ = _aggregate(cap_vals, cap_ses, p)
-    return DecouplingReport(
-        kind="linear", n_scale=float(n_scale), p=float(p), cap_level=m,
-        lhs=lhs, rhs_lp=rhs_lp, rhs_lp_stderr=se_lp,
-        ratio_lp=lhs.value / rhs_lp if rhs_lp > 0 else np.inf,
-        rhs_l2=rhs_l2,
-        ratio_l2=lhs.value / rhs_l2 if rhs_l2 > 0 else np.inf,
-        per_cap=cap_vals.tolist(), per_cap_stderr=cap_ses.tolist(),
-        caps_total=4 ** m, seed=sampler.seed, budget=sampler.budget,
-        runtime_ms=(time.perf_counter() - t0) * 1e3)
+    return _measure(lambda x_max: [_cap_source(surface, field_in, caps, x_max)], _total,
+                    lambda v, s: _aggregate(v[0], s[0], p), p, p, sampler, ball,
+                    kind="linear", n_scale=n_scale, cap_level=m, caps_total=4 ** m)
 
 
 # ---------------------------------------------------------------------------
 # bilinear measurements
 
 
-def _check_transverse(surface: SurfaceEvaluator, r1: DyadicSquare,
-                      r2: DyadicSquare, nu: float) -> float:
+def _pair_sources(surface: SurfaceEvaluator, field1: AmplitudeField, r1: DyadicSquare,
+                  field2: AmplitudeField, r2: DyadicSquare, n_scale: float,
+                  nu: float) -> tuple[Callable, float]:
+    """(make_sources, min |Q|) of a nu-transverse pair of squares, each field
+    restricted to its square; make_sources as `_measure` takes it."""
     coeffs = getattr(surface, "coeffs", None)
     if coeffs is None:
         raise ValueError("bilinear transversality is defined for quadratic surfaces")
-    val = min_abs_form(coeffs, r1, r2)
-    if val < nu * (1 - 1e-12):
-        raise NonTransverseError(val, nu)
-    return val
+    min_form = min_abs_form(coeffs, r1, r2)
+    if min_form < nu * (1 - 1e-12):
+        raise NonTransverseError(min_form, nu)
+    m = cap_level_for(n_scale)
+    restricted = [field1.restrict(r1), field2.restrict(r2)]
+    caps = [_support_caps(f, m) for f in restricted]
+    return (lambda x_max: [_cap_source(surface, f, c, x_max)
+                           for f, c in zip(restricted, caps)]), min_form
 
 
 def measure_bilinear(surface: SurfaceEvaluator,
@@ -324,44 +358,18 @@ def measure_bilinear(surface: SurfaceEvaluator,
                      ball: BallSpec | None = None) -> DecouplingReport:
     """Bilinear ratio |E1 E2|^{1/2} against the product of per-square cap
     aggregates, for a nu-transverse pair of squares."""
-    t0 = time.perf_counter()
-    min_form = _check_transverse(surface, r1, r2, nu)
-    m = cap_level_for(n_scale)
-    if ball is None:
-        ball = measurement_ball(4, n_scale)
-    f1 = field1.restrict(r1)
-    f2 = field2.restrict(r2)
-    caps1 = _support_caps(f1, m)
-    caps2 = _support_caps(f2, m)
-    x_max = _x_max(ball)
-    g1 = _CapGroups(extension_evaluator(surface, f1, x_max), caps1)
-    g2 = _CapGroups(extension_evaluator(surface, f2, x_max), caps2)
-    k1, k2 = len(caps1), len(caps2)
+    make_sources, min_form = _pair_sources(surface, field1, r1, field2, r2, n_scale, nu)
 
-    def series(x_batch):
-        v1, v2 = g1.cap_rows(x_batch), g2.cap_rows(x_batch)
-        return np.sqrt(np.abs(v1.sum(axis=0) * v2.sum(axis=0))), v1, v2
+    def rhs(vals, ses):
+        (rhs1, se1, _), (rhs2, se2, _) = (_aggregate(v, s, p) for v, s in zip(vals, ses))
+        rhs = np.sqrt(rhs1 * rhs2)
+        se_rhs = 0.5 * rhs * np.sqrt((se1 / rhs1) ** 2 + (se2 / rhs2) ** 2) if rhs > 0 else 0.0
+        return rhs, se_rhs, None
 
-    ests = weighted_norm_batch(series, ball, [p] * (1 + k1 + k2), sampler)
-    lhs = ests[0]
-    vals1 = np.array([e.value for e in ests[1:1 + k1]])
-    ses1 = np.array([e.stderr or 0.0 for e in ests[1:1 + k1]])
-    vals2 = np.array([e.value for e in ests[1 + k1:]])
-    ses2 = np.array([e.stderr or 0.0 for e in ests[1 + k1:]])
-    rhs1, se1, _, _ = _aggregate(vals1, ses1, p)
-    rhs2, se2, _, _ = _aggregate(vals2, ses2, p)
-    rhs = np.sqrt(rhs1 * rhs2)
-    se_rhs = 0.5 * rhs * np.sqrt((se1 / rhs1) ** 2 + (se2 / rhs2) ** 2) if rhs > 0 else 0.0
-    return DecouplingReport(
-        kind="bilinear", n_scale=float(n_scale), p=float(p), cap_level=m,
-        lhs=lhs, rhs_lp=float(rhs), rhs_lp_stderr=float(se_rhs),
-        ratio_lp=lhs.value / rhs if rhs > 0 else np.inf,
-        per_cap=np.concatenate([vals1, vals2]).tolist(),
-        per_cap_stderr=np.concatenate([ses1, ses2]).tolist(),
-        caps_total=k1 + k2, seed=sampler.seed, budget=sampler.budget,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-        meta={"nu": nu, "min_form": min_form,
-              "r1": (r1.level, r1.i, r1.j), "r2": (r2.level, r2.i, r2.j)})
+    return _measure(make_sources, _geometric_mean, rhs, p, p, sampler, ball,
+                    kind="bilinear", n_scale=n_scale,
+                    meta={"nu": nu, "min_form": min_form,
+                          "r1": (r1.level, r1.i, r1.j), "r2": (r2.level, r2.i, r2.j)})
 
 
 def measure_square_function(surface: SurfaceEvaluator,
@@ -373,43 +381,20 @@ def measure_square_function(surface: SurfaceEvaluator,
     L^p against N^{-4/p} times the product of cap L^{p/2} aggregates."""
     if np.isfinite(p) and p < 4:
         raise ValueError("square-function measurement needs p >= 4")
-    t0 = time.perf_counter()
-    min_form = _check_transverse(surface, r1, r2, nu)
-    m = cap_level_for(n_scale)
-    if ball is None:
-        ball = measurement_ball(4, n_scale)
-    f1 = field1.restrict(r1)
-    f2 = field2.restrict(r2)
-    caps1 = _support_caps(f1, m)
-    caps2 = _support_caps(f2, m)
-    x_max = _x_max(ball)
-    g1 = _CapGroups(extension_evaluator(surface, f1, x_max), caps1)
-    g2 = _CapGroups(extension_evaluator(surface, f2, x_max), caps2)
-    k1, k2 = len(caps1), len(caps2)
+    make_sources, min_form = _pair_sources(surface, field1, r1, field2, r2, n_scale, nu)
 
-    def series(x_batch):
-        v1, v2 = g1.cap_rows(x_batch), g2.cap_rows(x_batch)
-        s1 = (np.abs(v1) ** 2).sum(axis=0)
-        s2 = (np.abs(v2) ** 2).sum(axis=0)
-        return (s1 * s2) ** 0.25, v1, v2
+    def lhs(v1, v2):
+        return ((np.abs(v1) ** 2).sum(axis=0) * (np.abs(v2) ** 2).sum(axis=0)) ** 0.25
 
-    half = p / 2 if np.isfinite(p) else np.inf
-    ests = weighted_norm_batch(series, ball, [p] + [half] * (k1 + k2), sampler)
-    lhs = ests[0]
-    vals1 = np.array([e.value for e in ests[1:1 + k1]])
-    vals2 = np.array([e.value for e in ests[1 + k1:]])
-    prod = (vals1 ** 2).sum() * (vals2 ** 2).sum()
-    n_factor = float(n_scale) ** (-4.0 / p) if np.isfinite(p) else 1.0
-    rhs = n_factor * prod ** 0.25
-    return DecouplingReport(
-        kind="square-function", n_scale=float(n_scale), p=float(p), cap_level=m,
-        lhs=lhs, rhs_lp=float(rhs), rhs_lp_stderr=0.0,
-        ratio_lp=lhs.value / rhs if rhs > 0 else np.inf,
-        per_cap=np.concatenate([vals1, vals2]).tolist(),
-        per_cap_stderr=[0.0] * (k1 + k2),
-        caps_total=k1 + k2, seed=sampler.seed, budget=sampler.budget,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-        meta={"nu": nu, "min_form": min_form})
+    def rhs(vals, _):
+        prod = (vals[0] ** 2).sum() * (vals[1] ** 2).sum()
+        return float(n_scale) ** (-4.0 / p) * prod ** 0.25, 0.0, None
+
+    rep = _measure(make_sources, lhs, rhs, p, p / 2, sampler, ball, kind="square-function",
+                   n_scale=n_scale, meta={"nu": nu, "min_form": min_form})
+    # the rhs propagates no cap error, so none is reported per cap either
+    rep.per_cap_stderr = [0.0] * rep.caps_total
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -424,36 +409,18 @@ def measure_trivial(surface: SurfaceEvaluator, field_in: AmplitudeField,
     ratio_lp is the plain ratio; meta["ratio_vs_trivial"] divides out the
     sharp K^{1-2/p} factor of the disjoint-support bound.
     """
-    t0 = time.perf_counter()
     squares = list(squares)
-    for a in range(len(squares)):
-        for b in range(a + 1, len(squares)):
-            if squares[a] == squares[b] or squares[a].contains_square(squares[b]) \
-                    or squares[b].contains_square(squares[a]):
-                raise OverlappingSquaresError("squares must be pairwise disjoint")
+    for a, b in combinations(squares, 2):
+        if a == b or a.contains_square(b) or b.contains_square(a):
+            raise OverlappingSquaresError("squares must be pairwise disjoint")
     k_scale = 2 ** squares[0].level
-    if ball is None:
-        ball = measurement_ball(4, k_scale)
-    ev = extension_evaluator(surface, field_in, _x_max(ball))
-    groups = _CapGroups(ev, squares)
-    ests = weighted_norm_batch(groups.total_and_caps, ball, [p] * (len(squares) + 1),
-                               sampler)
-    lhs = ests[0]
-    vals = np.array([e.value for e in ests[1:]])
-    ses = np.array([e.stderr or 0.0 for e in ests[1:]])
-    rhs_lp, se_lp, rhs_l2, _ = _aggregate(vals, ses, p)
     trivial_factor = k_scale ** (1.0 - 2.0 / p) if np.isfinite(p) else 1.0
-    ratio_plain = lhs.value / rhs_lp if rhs_lp > 0 else np.inf
-    return DecouplingReport(
-        kind="trivial", n_scale=float(k_scale), p=float(p),
-        cap_level=squares[0].level,
-        lhs=lhs, rhs_lp=rhs_lp, rhs_lp_stderr=se_lp, ratio_lp=ratio_plain,
-        rhs_l2=rhs_l2, ratio_l2=lhs.value / rhs_l2 if rhs_l2 > 0 else np.inf,
-        per_cap=vals.tolist(), per_cap_stderr=ses.tolist(),
-        caps_total=len(squares), seed=sampler.seed, budget=sampler.budget,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-        meta={"K": k_scale, "trivial_factor": trivial_factor,
-              "ratio_vs_trivial": ratio_plain / trivial_factor})
+    rep = _measure(lambda x_max: [_cap_source(surface, field_in, squares, x_max)], _total,
+                   lambda v, s: _aggregate(v[0], s[0], p), p, p, sampler, ball,
+                   kind="trivial", n_scale=k_scale, cap_level=squares[0].level,
+                   meta={"K": k_scale, "trivial_factor": trivial_factor})
+    rep.meta["ratio_vs_trivial"] = rep.ratio_lp / trivial_factor
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -466,112 +433,84 @@ def parabola_reference(n_scale: float, p: float, sampler: Sampler,
     """l^2 cap decoupling of the planar curve (t, t^2) at scale N; the known
     planar theorem makes this a calibration of the whole pipeline.  The ball
     must be 2-D."""
-    t0 = time.perf_counter()
     m = cap_level_for(n_scale)
-    n_caps = 2 ** m
     side = 2.0 ** (-m)
-    if ball is None:
-        ball = measurement_ball(2, n_scale)
-    if ball.dim != 2:
-        raise ValueError(f"parabola-2d needs a 2-D ball, got dimension {ball.dim}")
-    # the phase x1 t + x2 t^2 varies at most 3 x_max per unit t
-    n1 = nodes_for_cycles(_x_max(ball) * 3.0 * side)
-    caps = axis_factor(np.arange(n_caps), side, n1, amplitude, None, 0, (1.0,))
 
-    def series(x_batch):
-        buf = np.empty((n_caps + 1, len(x_batch)), dtype=complex)
-        buf[1:] = caps(x_batch)
-        np.sum(buf[1:], axis=0, out=buf[0])
-        return buf
+    def make_sources(x_max):
+        # the phase x1 t + x2 t^2 varies at most 3 x_max per unit t
+        n1 = nodes_for_cycles(x_max * 3.0 * side)
+        return [(axis_factor(np.arange(2 ** m), side, n1, amplitude, None, 0, (1.0,)), 2 ** m)]
 
-    ests = weighted_norm_batch(series, ball, [p] * (n_caps + 1), sampler)
-    lhs = ests[0]
-    vals = np.array([e.value for e in ests[1:]])
-    ses = np.array([e.stderr or 0.0 for e in ests[1:]])
-    rhs_lp, se_lp, rhs_l2, _ = _aggregate(vals, ses, p)
-    return DecouplingReport(
-        kind="parabola-2d", n_scale=float(n_scale), p=float(p), cap_level=m,
-        lhs=lhs, rhs_lp=rhs_lp, rhs_lp_stderr=se_lp,
-        ratio_lp=lhs.value / rhs_lp if rhs_lp > 0 else np.inf,
-        rhs_l2=rhs_l2, ratio_l2=lhs.value / rhs_l2 if rhs_l2 > 0 else np.inf,
-        per_cap=vals.tolist(), per_cap_stderr=ses.tolist(),
-        caps_total=n_caps, seed=sampler.seed, budget=sampler.budget,
-        runtime_ms=(time.perf_counter() - t0) * 1e3)
+    return _measure(make_sources, _total, lambda v, s: _aggregate(v[0], s[0], p), p, p,
+                    sampler, ball, kind="parabola-2d", n_scale=n_scale, dim=2)
 
 
 # ---------------------------------------------------------------------------
 # bilinear curve measurement
 
 
+CURVE_MIN_DIST = 0.1
+
+
 def _dyadic_subintervals(interval, level: int) -> list[tuple[float, float]]:
+    lo, hi = (float(v) for v in interval)
+    if not 0.0 <= lo < hi <= 1.0:
+        raise ValueError(f"curve interval {tuple(interval)} is not an increasing "
+                         "subinterval of [0, 1]")
     side = 2.0 ** (-level)
-    k0 = int(round(interval[0] / side))
-    k1 = int(round(interval[1] / side))
-    if abs(k0 * side - interval[0]) > 1e-9 or abs(k1 * side - interval[1]) > 1e-9:
+    k0 = int(round(lo / side))
+    k1 = int(round(hi / side))
+    if abs(k0 * side - lo) > 1e-9 or abs(k1 * side - hi) > 1e-9:
         raise ValueError("interval endpoints must align with the cap grid")
     return [(k * side, (k + 1) * side) for k in range(k0, k1)]
 
 
-def _curve_phase_bound(curve: CurveEvaluator) -> float:
+def _curve_caps(i1, i2, level: int, min_dist: float) -> list[list[tuple[float, float]]]:
+    """The cap subintervals of the two curve intervals, which must lie on
+    the cap grid in [0, 1], at least min_dist apart."""
+    (a1, b1), (a2, b2) = (tuple(float(v) for v in i) for i in (i1, i2))
+    if max(a2 - b1, a1 - b2) < min_dist:
+        raise ValueError("intervals are too close for the bilinear measurement")
+    return [_dyadic_subintervals(i, level) for i in ((a1, b1), (a2, b2))]
+
+
+def _curve_lines(curve: CurveEvaluator, caps, amps, x_max: float) -> list[LineEvaluator]:
+    """One LineEvaluator of the curve per list of cap subintervals."""
     t = np.linspace(0.0, 1.0, 257)
-    return float(np.abs(curve.derivative(t, 1)).sum(axis=-1).max())
+    bound = float(np.abs(curve.derivative(t, 1)).sum(axis=-1).max())
+
+    def phase(t_nodes, x_batch):
+        return curve.value(t_nodes) @ x_batch.T
+
+    return [LineEvaluator(c, h, phase, x_max, bound) for c, h in zip(caps, amps)]
 
 
 def curve_bilinear(curve: CurveEvaluator, i1, i2,
                    h1: Callable | None, h2: Callable | None,
                    n_scale: float, sampler: Sampler,
                    ball: BallSpec | None = None,
-                   min_dist: float = 0.1) -> DecouplingReport:
+                   min_dist: float = CURVE_MIN_DIST) -> DecouplingReport:
     """Bilinear curve measurement: geometric-mean L^12 norm of the two
     interval extensions against the product of per-subinterval l^6 sums at
     cap scale; the reference decay is N^{-1/6}."""
-    t0 = time.perf_counter()
-    dist = max(i2[0] - i1[1], i1[0] - i2[1])
-    if dist < min_dist:
-        raise ValueError("intervals are too close for the bilinear measurement")
-    m = cap_level_for(n_scale)
-    if ball is None:
-        ball = measurement_ball(4, n_scale)
-    x_max = _x_max(ball)
-    bound = _curve_phase_bound(curve)
+    caps = _curve_caps(i1, i2, cap_level_for(n_scale), min_dist)
 
-    def phase(t_nodes, x_batch):
-        return curve.value(t_nodes) @ x_batch.T
+    def make_sources(x_max):
+        return [(line.interval_values, len(line.intervals))
+                for line in _curve_lines(curve, caps, (h1, h2), x_max)]
 
-    line1 = LineEvaluator(_dyadic_subintervals(i1, m), h1, phase, x_max, bound)
-    line2 = LineEvaluator(_dyadic_subintervals(i2, m), h2, phase, x_max, bound)
-    k1 = len(line1.intervals)
-    k2 = len(line2.intervals)
+    def rhs(vals, ses):
+        s1, s2 = ((v ** 6).sum() for v in vals)
+        rhs = (s1 * s2) ** (1.0 / 12.0)
+        se_rhs = 0.0
+        if s1 > 0 and s2 > 0:
+            var_s1, var_s2 = (((6 * v ** 5 * s) ** 2).sum() for v, s in zip(vals, ses))
+            se_rhs = rhs / 12.0 * np.sqrt(var_s1 / s1 ** 2 + var_s2 / s2 ** 2)
+        return rhs, se_rhs, None
 
-    def series(x_batch):
-        v1 = line1.interval_values(x_batch)
-        v2 = line2.interval_values(x_batch)
-        return np.sqrt(np.abs(v1.sum(axis=0) * v2.sum(axis=0))), v1, v2
-
-    ps = [12.0] + [6.0] * (k1 + k2)
-    ests = weighted_norm_batch(series, ball, ps, sampler)
-    lhs = ests[0]
-    vals1 = np.array([e.value for e in ests[1:1 + k1]])
-    ses1 = np.array([e.stderr or 0.0 for e in ests[1:1 + k1]])
-    vals2 = np.array([e.value for e in ests[1 + k1:]])
-    ses2 = np.array([e.stderr or 0.0 for e in ests[1 + k1:]])
-    s1 = (vals1 ** 6).sum()
-    s2 = (vals2 ** 6).sum()
-    rhs = (s1 * s2) ** (1.0 / 12.0)
-    se_rhs = 0.0
-    if s1 > 0 and s2 > 0:
-        var_s1 = ((6 * vals1 ** 5 * ses1) ** 2).sum()
-        var_s2 = ((6 * vals2 ** 5 * ses2) ** 2).sum()
-        se_rhs = rhs / 12.0 * np.sqrt(var_s1 / s1 ** 2 + var_s2 / s2 ** 2)
-    return DecouplingReport(
-        kind="curve-bilinear", n_scale=float(n_scale), p=12.0, cap_level=m,
-        lhs=lhs, rhs_lp=float(rhs), rhs_lp_stderr=float(se_rhs),
-        ratio_lp=lhs.value / rhs if rhs > 0 else np.inf,
-        per_cap=np.concatenate([vals1, vals2]).tolist(),
-        per_cap_stderr=np.concatenate([ses1, ses2]).tolist(),
-        caps_total=k1 + k2, seed=sampler.seed, budget=sampler.budget,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-        meta={"i1": tuple(i1), "i2": tuple(i2), "reference_exponent": -1.0 / 6.0})
+    return _measure(make_sources, _geometric_mean, rhs, 12.0, 6.0, sampler, ball,
+                    kind="curve-bilinear", n_scale=n_scale,
+                    meta={"i1": tuple(i1), "i2": tuple(i2), "reference_exponent": -1.0 / 6.0})
 
 
 def curve_product_identity_residual(curve: CurveEvaluator, i1, i2,
@@ -583,20 +522,12 @@ def curve_product_identity_residual(curve: CurveEvaluator, i1, i2,
     m = cap_level_for(n_scale)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-x_scale, x_scale, size=(n_points, 4))
-    bound = _curve_phase_bound(curve)
-
-    def phase(t_nodes, x_batch):
-        return curve.value(t_nodes) @ x_batch.T
-
-    line1 = LineEvaluator(_dyadic_subintervals(i1, m), h1, phase, x_scale, bound)
-    line2 = LineEvaluator(_dyadic_subintervals(i2, m), h2, phase, x_scale, bound)
+    caps = [_dyadic_subintervals(i, m) for i in (i1, i2)]
+    line1, line2 = _curve_lines(curve, caps, (h1, h2), x_scale)
     prod = line1.total(x) * line2.total(x)
 
     surface = curve_lift(curve, i1, i2)
-    cells = []
-    for (a, _b) in _dyadic_subintervals(i1, m):
-        for (c, _d) in _dyadic_subintervals(i2, m):
-            cells.append(square_at(m, a + 1e-12, c + 1e-12))
+    cells = [square_at(m, a + 1e-12, c + 1e-12) for a, _ in caps[0] for c, _ in caps[1]]
     field_ts = AmplitudeField.separable(m, h1, h2, support=cells)
     tensor = extension_evaluator(surface, field_ts, x_scale).total(x)
     scale = np.abs(prod).max()
@@ -653,6 +584,13 @@ def predicted_exponent(kind: str, p: float, aggregate: str = "lp"):
     return None, "untabulated"
 
 
+def fit_aggregate(kind: str) -> str:
+    """The aggregate, "lp" or "l2", whose ratio a scenario's slope is fitted
+    on and its predicted exponent refers to: l^2 for the flat-line failure
+    and the planar calibration, l^p for every other kind."""
+    return "l2" if kind in ("flat-line", "parabola-2d") else "lp"
+
+
 def flat_line_points(n_scale: float) -> np.ndarray:
     m_pts = int(np.ceil(np.sqrt(n_scale)))
     return np.column_stack([np.zeros(m_pts), np.arange(1, m_pts + 1) / m_pts])
@@ -669,49 +607,42 @@ class ScenarioBundle:
 
 
 def scenario(spec: ScenarioSpec) -> ScenarioBundle:
-    """Construct the canonical surface/field configuration for a scenario."""
+    """Construct the canonical surface/field configuration for a scenario;
+    raises ValueError for a spec that its measurement would reject."""
     kind = spec.kind
+    if not spec.p >= 1.0:
+        raise ValueError(f"p must be >= 1, got {spec.p:g}")
     m = cap_level_for(spec.n_scale)
+    surface, fields, squares = None, [], []
     if kind == "indicator":
-        return ScenarioBundle(spec, quad_surface(SEPARABLE_COEFFS),
-                              [AmplitudeField.constant(m)], [],
-                              *predicted_exponent(kind, spec.p))
-    if kind == "random-phase":
-        return ScenarioBundle(spec, quad_surface(SEPARABLE_COEFFS),
-                              [AmplitudeField.random_phase(m, spec.seed)], [],
-                              *predicted_exponent(kind, spec.p))
-    if kind == "flat-line":
+        surface, fields = quad_surface(SEPARABLE_COEFFS), [AmplitudeField.constant(m)]
+    elif kind == "random-phase":
+        surface = quad_surface(SEPARABLE_COEFFS)
+        fields = [AmplitudeField.random_phase(m, spec.seed)]
+    elif kind == "flat-line":
         pts = flat_line_points(spec.n_scale)
-        f = AmplitudeField.atomic(pts, np.ones(len(pts)))
-        return ScenarioBundle(spec, quad_surface(FLAT_LINE_COEFFS), [f], [],
-                              *predicted_exponent(kind, spec.p, "l2"))
-    if kind == "strip":
+        surface = quad_surface(FLAT_LINE_COEFFS)
+        fields = [AmplitudeField.atomic(pts, np.ones(len(pts)))]
+    elif kind == "strip":
         k = spec.k_squares
-        if k < 1 or k & (k - 1):
-            raise ValueError("strip scenario needs a power-of-two square count")
-        lev = k.bit_length() - 1
+        if not isinstance(k, (int, np.integer)) or k < 1 or k & (k - 1):
+            raise ValueError(f"strip scenario needs a power-of-two square count, got {k!r}")
+        lev = int(k).bit_length() - 1
         squares = [DyadicSquare(lev, 0, j) for j in range(k)]
-        f = AmplitudeField.constant(lev, support=squares)
-        return ScenarioBundle(spec, quad_surface(FLAT_LINE_COEFFS), [f], squares,
-                              *predicted_exponent(kind, spec.p))
-    if kind == "bilinear-pair":
-        d = np.sqrt(spec.nu)
-        r1 = DyadicSquare(2, 0, 0)
-        idx = int(round((0.25 + d) * 4))
-        r2 = DyadicSquare(2, idx, idx)
-        f1 = AmplitudeField.random_phase(m, spec.seed,
-                                         support=CapPartition.of_region(m, r1).squares)
-        f2 = AmplitudeField.random_phase(m, spec.seed + 1,
-                                         support=CapPartition.of_region(m, r2).squares)
-        return ScenarioBundle(spec, quad_surface(SEPARABLE_COEFFS), [f1, f2],
-                              [r1, r2], *predicted_exponent(kind, spec.p))
-    if kind == "curve-bilinear":
-        return ScenarioBundle(spec, None, [], [],
-                              *predicted_exponent(kind, spec.p))
-    if kind == "parabola-2d":
-        return ScenarioBundle(spec, None, [], [],
-                              *predicted_exponent(kind, spec.p, "l2"))
-    raise ValueError(f"unknown scenario kind {kind!r}")
+        surface = quad_surface(FLAT_LINE_COEFFS)
+        fields = [AmplitudeField.constant(lev, support=squares)]
+    elif kind == "bilinear-pair":
+        idx = int(round((0.25 + np.sqrt(spec.nu)) * 4))
+        squares = [DyadicSquare(2, 0, 0), DyadicSquare(2, idx, idx)]
+        surface = quad_surface(SEPARABLE_COEFFS)
+        fields = [AmplitudeField.random_phase(m, spec.seed + k,
+                                              support=CapPartition.of_region(m, r).squares)
+                  for k, r in enumerate(squares)]
+    elif kind == "curve-bilinear":
+        # the measurement builds the curve's interval evaluators
+        _curve_caps(spec.i1, spec.i2, m, CURVE_MIN_DIST)
+    return ScenarioBundle(spec, surface, fields, squares,
+                          *predicted_exponent(kind, spec.p, fit_aggregate(kind)))
 
 
 def run_cell(spec: ScenarioSpec, sampler: Sampler,
@@ -732,10 +663,8 @@ def run_cell(spec: ScenarioSpec, sampler: Sampler,
     elif kind == "curve-bilinear":
         rep = curve_bilinear(moment_curve(), spec.i1, spec.i2, None, None,
                              spec.n_scale, sampler, ball=ball)
-    elif kind == "parabola-2d":
-        rep = parabola_reference(spec.n_scale, spec.p, sampler, ball=ball)
     else:
-        raise ValueError(f"unknown scenario kind {kind!r}")
+        rep = parabola_reference(spec.n_scale, spec.p, sampler, ball=ball)
     rep.kind = kind
     rep.meta.setdefault("predicted_exponent",
                         float(bundle.predicted) if bundle.predicted is not None else None)
@@ -778,6 +707,40 @@ def fit_slope(scales: Sequence[float], ratios: Sequence[float],
 
 
 @dataclass
+class SlopeSeries:
+    """The reports of one (kind, p), by N, and the slope of their fitted
+    ratio (`fit_aggregate`) when there are three or more."""
+    key: str
+    ratio: str
+    reports: list[DecouplingReport]
+    fit: SlopeFit | None
+
+
+def slope_series(reports: Sequence[DecouplingReport]
+                 ) -> tuple[list[SlopeSeries], list[DecouplingReport]]:
+    """(series, skipped): the reports grouped by (kind, p) in key order, and
+    the reports whose fitted ratio is missing, not finite or not positive."""
+    groups: dict[tuple[str, str], list[DecouplingReport]] = {}
+    skipped = []
+    for rep in reports:
+        ratio = "ratio_" + fit_aggregate(rep.kind)
+        value = getattr(rep, ratio)
+        if value is None or not np.isfinite(value) or value <= 0:
+            skipped.append(rep)
+        else:
+            groups.setdefault((f"{rep.kind}:p={rep.p:g}", ratio), []).append(rep)
+    series = []
+    for (key, ratio), reps in sorted(groups.items()):
+        reps.sort(key=lambda r: r.n_scale)
+        fit = None
+        if len(reps) >= 3:
+            fit = fit_slope([r.n_scale for r in reps], [getattr(r, ratio) for r in reps],
+                            [r.ratio_rel_stderr for r in reps])
+        series.append(SlopeSeries(key, ratio, reps, fit))
+    return series, skipped
+
+
+@dataclass
 class StudyResult:
     reports: list[DecouplingReport]
     slopes: dict[tuple[str, float], SlopeFit]
@@ -787,65 +750,46 @@ class StudyResult:
 
 
 def scaling_study(kind: str, n_scales: Sequence[float], ps: Sequence[float],
-                  sampler: Sampler, ratio_key: str = "ratio_lp",
-                  **spec_kw) -> StudyResult:
+                  sampler: Sampler, **spec_kw) -> StudyResult:
     """Measure a scenario across scales and fit log-log slopes per p.
 
     With fewer than three scales the slope is omitted (with a warning entry
     in the report metadata) rather than fitted.
     """
     reports = []
-    slopes: dict[tuple[str, float], SlopeFit] = {}
     for p in ps:
-        per_p = []
         for n in n_scales:
             spec = ScenarioSpec(kind=kind, n_scale=float(n), p=float(p), **spec_kw)
-            cell_sampler = Sampler(budget=sampler.budget,
-                                   seed=sampler.seed + int(np.log2(max(n, 2))),
-                                   strategy=sampler.strategy,
-                                   proposal=sampler.proposal, chunk=sampler.chunk)
-            rep = run_cell(spec, cell_sampler)
-            per_p.append(rep)
-            reports.append(rep)
-        ratios = [getattr(r, ratio_key) for r in per_p]
-        rels = [r.ratio_rel_stderr for r in per_p]
-        if len(n_scales) >= 3:
-            slopes[(kind, float(p))] = fit_slope(n_scales, ratios, rels)
-        else:
-            for r in per_p:
-                r.meta["slope_warning"] = "fewer than three scales; slope omitted"
+            cell_sampler = replace(sampler, seed=sampler.seed + int(np.log2(max(n, 2))))
+            reports.append(run_cell(spec, cell_sampler))
+    slopes = {}
+    for s in slope_series(reports)[0]:
+        if s.fit is not None:
+            slopes[(kind, s.reports[0].p)] = s.fit
+            continue
+        for r in s.reports:
+            r.meta["slope_warning"] = "fewer than three scales; slope omitted"
     return StudyResult(reports=reports, slopes=slopes)
 
 
-def emit_plotdata(reports: Sequence[DecouplingReport],
-                  ratio_key: str = "ratio_lp") -> dict:
-    """Plot-ready series: per (kind, p), log-log coordinates with error bars
-    and a fitted slope annotation when three or more points exist."""
-    series: dict = {}
-    notes = []
-    for rep in reports:
-        ratio = getattr(rep, ratio_key)
-        if ratio is None or not np.isfinite(ratio) or ratio <= 0:
-            notes.append({"kind": rep.kind, "N": rep.n_scale,
-                          "note": "skipped: empty or non-finite ratio"})
-            continue
-        key = f"{rep.kind}:p={rep.p:g}"
-        series.setdefault(key, []).append(
-            {"log_N": float(np.log(rep.n_scale)),
-             "log_ratio": float(np.log(ratio)),
-             "se_log_ratio": rep.ratio_rel_stderr})
-    out = {"series": [], "notes": notes}
-    for key, pts in sorted(series.items()):
-        pts = sorted(pts, key=lambda q: q["log_N"])
-        entry = {"key": key, "points": pts}
-        if len(pts) >= 3:
-            fitted = fit_slope([np.exp(q["log_N"]) for q in pts],
-                               [np.exp(q["log_ratio"]) for q in pts],
-                               [q["se_log_ratio"] for q in pts])
-            entry["slope"] = fitted.slope
-            entry["slope_stderr"] = fitted.stderr
+def emit_plotdata(reports: Sequence[DecouplingReport]) -> dict:
+    """Plot-ready series: per (kind, p), log-log coordinates of the fitted
+    ratio with error bars and a fitted slope annotation when three or more
+    points exist."""
+    series, skipped = slope_series(reports)
+    out = {"series": [],
+           "notes": [{"kind": r.kind, "N": r.n_scale,
+                      "note": "skipped: empty or non-finite ratio"} for r in skipped]}
+    for s in series:
+        entry = {"key": s.key, "ratio": s.ratio,
+                 "points": [{"log_N": float(np.log(r.n_scale)),
+                             "log_ratio": float(np.log(getattr(r, s.ratio))),
+                             "se_log_ratio": r.ratio_rel_stderr} for r in s.reports]}
+        if s.fit is not None:
+            entry.update(slope=s.fit.slope, slope_stderr=s.fit.stderr)
         out["series"].append(entry)
     return out
+
 
 
 # ---------------------------------------------------------------------------

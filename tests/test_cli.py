@@ -1,6 +1,8 @@
+import csv
 import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -290,8 +292,12 @@ def test_numeric_poisoning_exit(tmp_path, monkeypatch):
     ({"kind": "flat-line", "N": [16]}, {"chunk": -4, "budget": 2048}),
     ({"kind": "indicator", "N": [16],
       "field": {"mode": "atomic", "points": [[float("nan"), 0.5], [0.25, 0.75]]}}, None),
+    ({"kind": "curve-bilinear", "N": [16], "I1": [0, 0.3]}, None),
+    ({"kind": "curve-bilinear", "N": [16], "I1": [0, 0.25], "I2": [0.2, 0.5]}, None),
+    ({"kind": "strip", "K": 4.5}, None),
 ], ids=["N=0", "N=-4", "p=0.5", "strip-K=3", "strip-K=0", "nu=0.9", "budget=256",
-        "strategy=rqmc", "proposal=defensive", "chunk=0", "chunk=-4", "atomic-nan-point"])
+        "strategy=rqmc", "proposal=defensive", "chunk=0", "chunk=-4", "atomic-nan-point",
+        "curve-I1-off-grid", "curve-too-close", "strip-K=4.5"])
 def test_bad_value_rejected_at_load(tmp_path, capsys, scenario, sampler):
     cfg_path = tmp_path / "run.json"
     outputs = {"report": str(tmp_path / "report.json"), "csv": str(tmp_path / "rows.csv")}
@@ -300,6 +306,21 @@ def test_bad_value_rejected_at_load(tmp_path, capsys, scenario, sampler):
         overrides["sampler"] = sampler
     write_config(cfg_path, **overrides)
     with pytest.raises(ConfigError):
+        load_config(str(cfg_path))
+    rc = main(["measure", "--config", str(cfg_path)])
+    assert rc == EXIT_SCHEMA
+    assert "config error" in capsys.readouterr().err
+    assert not any(tmp_path.joinpath(name).exists() for name in ("report.json", "rows.csv"))
+
+
+@pytest.mark.parametrize("budget", ["10", -1, True, float("nan"), float("inf"), None],
+                         ids=["string", "negative", "bool", "nan", "inf", "null"])
+def test_bad_time_budget_rejected_at_load(tmp_path, capsys, budget):
+    # a string used to fail after the cells had run, and -1 warned on every cell
+    cfg_path = tmp_path / "run.json"
+    outputs = {"report": str(tmp_path / "report.json"), "csv": str(tmp_path / "rows.csv")}
+    write_config(cfg_path, time_budget_s=budget, outputs=outputs)
+    with pytest.raises(ConfigError, match="time_budget_s"):
         load_config(str(cfg_path))
     rc = main(["measure", "--config", str(cfg_path)])
     assert rc == EXIT_SCHEMA
@@ -328,3 +349,27 @@ def test_bad_ball_rejected_at_load(tmp_path, capsys, ball):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not any(tmp_path.joinpath(name).exists() for name in ("report.json", "rows.csv"))
+
+
+def test_golden_config_rows(tmp_path):
+    # every scenario kind, a strip, a surface-and-field override and a
+    # surface-only override (the scenario supplies the field); the rows were
+    # committed from an earlier implementation of the measurement pipeline
+    data = Path(__file__).parent / "data"
+    csv_path = tmp_path / "rows.csv"
+    rc = main(["measure", "--config", str(data / "golden-config.json"),
+               "--csv", str(csv_path)])
+    assert rc == EXIT_OK
+    with open(data / "golden-rows.csv") as fh:
+        want = list(csv.reader(fh))
+    with open(csv_path) as fh:
+        got = list(csv.reader(fh))
+    assert len(got) == len(want) and got[0] == want[0]
+    for row_got, row_want in zip(got[1:], want[1:]):
+        for col, a, b in zip(want[0], row_got, row_want):
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                assert a == b, (row_want[:2], col)
+                continue
+            assert abs(x - y) <= 1e-12 * abs(y), (row_want[:2], col, a, b)

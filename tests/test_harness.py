@@ -196,7 +196,7 @@ def test_parabola_single_cap_unit_ratio():
 
 def parabola_series(monkeypatch, n_scale, amplitude=None):
     """The series function parabola_reference hands to weighted_norm_batch:
-    X -> (1 + caps, B), E g then the cap sums."""
+    X -> (E g, (caps, B) cap sums)."""
     seen = []
 
     def capture(series, ball, ps, sampler):
@@ -239,11 +239,11 @@ def test_parabola_cap_sums_match_direct_interval_sums(monkeypatch, n_scale, batc
         # alone, the corner's values are cancellations far below the caps'
         # size, under the rounding of either sum at 1e-12 of their size
         x[0] = [x_max, x_max]
-    got = series(x)
+    total, got = series(x)
     want = line.interval_values(x)
-    assert got.shape == (1 + want.shape[0], batch)
-    assert np.abs(got[1:] - want).max() <= 1e-12 * np.abs(want).max()
-    assert np.abs(got[0] - want.sum(axis=0)).max() <= 1e-12 * np.abs(want).max()
+    assert got.shape == want.shape == (want.shape[0], batch)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(total - want.sum(axis=0)).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_parabola_default_and_refined_quadrature_agree(monkeypatch):
@@ -306,28 +306,30 @@ def test_fit_slope_recovers_synthetic():
 
 def test_scaling_study_slopes_and_rows():
     study = scaling_study("flat-line", [16, 64, 256], [6.0],
-                          small_sampler(budget=4096), ratio_key="ratio_l2")
+                          small_sampler(budget=4096))
     assert ("flat-line", 6.0) in study.slopes
     assert len(study.rows()) == 3
     short = scaling_study("flat-line", [16, 64], [6.0],
-                          small_sampler(budget=4096), ratio_key="ratio_l2")
+                          small_sampler(budget=4096))
     assert not short.slopes
     assert all("slope_warning" in r.meta for r in short.reports)
 
 
 def test_emit_plotdata_series_and_skips():
     study = scaling_study("flat-line", [16, 64, 256], [6.0],
-                          small_sampler(budget=4096), ratio_key="ratio_l2")
-    data = emit_plotdata(study.reports, ratio_key="ratio_l2")
+                          small_sampler(budget=4096))
+    data = emit_plotdata(study.reports)
     assert len(data["series"]) == 1
     entry = data["series"][0]
     assert len(entry["points"]) == 3
     assert "slope" in entry
+    assert entry["ratio"] == "ratio_l2"
 
+    # flat-line is fitted on ratio_l2, so that is the ratio whose loss skips
     bad = study.reports[0]
-    bad.ratio_lp = float("inf")
-    data2 = emit_plotdata([bad], ratio_key="ratio_lp")
-    assert data2["notes"]
+    bad.ratio_l2 = float("inf")
+    data2 = emit_plotdata([bad])
+    assert data2["notes"] and not data2["series"]
 
 
 def test_seed_coupling_stability():
@@ -399,9 +401,8 @@ def test_cap_groups_match_scatter_add_bit_for_bit():
     x = np.random.default_rng(8).uniform(-6.0, 6.0, size=(64, 4))
     want = np.zeros((len(caps), len(x)), dtype=complex)
     np.add.at(want, groups.index, ev.cell_values(x))
-    total, got = groups.total_and_caps(x)
+    got = groups.cap_rows(x)
     np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(total, want.sum(axis=0))
     empty = [k for k, c in enumerate(caps) if (c.i, c.j) == (1, 1)]
     assert np.all(got[empty] == 0)
 
@@ -480,9 +481,9 @@ def test_cap_fold_matches_gather_bit_for_bit(name):
     x, _ = _MixtureProposal(ball, defensive=True).sample(3, 0, 1000)
     want = np.empty((1 + len(caps), len(x)), dtype=complex)
     np.sum(groups.gather(ev.cell_values(x), want[1:]), axis=0, out=want[0])
-    total, got = groups.total_and_caps(x)
+    got = groups.cap_rows(x)
     assert got.shape == want[1:].shape and got.dtype == want.dtype
-    assert total.tobytes() == want[0].tobytes()
+    assert harness._total(got).tobytes() == want[0].tobytes()
     assert np.ascontiguousarray(got).tobytes() == want[1:].tobytes()
 
 
@@ -493,10 +494,10 @@ def test_flat_line_cap_fold_builds_no_second_table():
     ev, caps, _, ball = cap_case("flat-line-16384")
     groups = _CapGroups(ev, caps)
     x, _ = _MixtureProposal(ball, defensive=True).sample(3, 0, 4096)
-    groups.total_and_caps(x)
+    groups.cap_rows(x)
     tracemalloc.start()
     try:
-        groups.total_and_caps(x)
+        groups.cap_rows(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
