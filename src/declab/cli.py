@@ -57,7 +57,9 @@ CSV_COLUMNS = ["kind", "N", "p", "lhs", "lhs_se", "rhs_lp", "rhs_l2",
                "ratio_lp", "ratio_l2", "caps", "budget", "seed", "runtime_ms"]
 
 
-def _check_keys(mapping: dict, allowed: set, where: str):
+def _check_keys(mapping, allowed: set, where: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -66,8 +68,6 @@ def _check_keys(mapping: dict, allowed: set, where: str):
 def load_config(path: str) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")
     if cfg.get("v") != FORMAT_VERSION:
         raise ConfigError(f"config version must be {FORMAT_VERSION}")

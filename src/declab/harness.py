@@ -386,15 +386,17 @@ def measure_square_function(surface: SurfaceEvaluator,
     def lhs(v1, v2):
         return ((np.abs(v1) ** 2).sum(axis=0) * (np.abs(v2) ** 2).sum(axis=0)) ** 0.25
 
-    def rhs(vals, _):
-        prod = (vals[0] ** 2).sum() * (vals[1] ** 2).sum()
-        return float(n_scale) ** (-4.0 / p) * prod ** 0.25, 0.0, None
+    def rhs(vals, ses):
+        s1, s2 = ((v ** 2).sum() for v in vals)
+        rhs = float(n_scale) ** (-4.0 / p) * (s1 * s2) ** 0.25
+        se_rhs = 0.0
+        if s1 > 0 and s2 > 0:
+            var_s1, var_s2 = (((2 * v * s) ** 2).sum() for v, s in zip(vals, ses))
+            se_rhs = rhs / 4.0 * np.sqrt(var_s1 / s1 ** 2 + var_s2 / s2 ** 2)
+        return rhs, se_rhs, None
 
-    rep = _measure(make_sources, lhs, rhs, p, p / 2, sampler, ball, kind="square-function",
-                   n_scale=n_scale, meta={"nu": nu, "min_form": min_form})
-    # the rhs propagates no cap error, so none is reported per cap either
-    rep.per_cap_stderr = [0.0] * rep.caps_total
-    return rep
+    return _measure(make_sources, lhs, rhs, p, p / 2, sampler, ball, kind="square-function",
+                    n_scale=n_scale, meta={"nu": nu, "min_form": min_form})
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,25 @@ identically 1 on the ball and shares the polynomial tail.  Sampling draws
 from the normalized weight (optionally defended by a mixture of shrunken
 copies, which controls the variance of integrands concentrated near the
 center); estimates are deterministic given (seed, budget) through fixed
-chunked reductions.  Radii come from the radial CDF (tabulated at 2^14 + 1
-knots) by a cached inverse lookup that reproduces np.interp bit for bit: a
-table of 2^14 equal buckets of [0, 1) gives each draw its knot after one
-refinement step, and np.searchsorted takes the few draws whose bucket holds
-more than one knot.  Within a chunk, the sums of |F|^p w/q and its square go
-over cache-sized blocks of series rows, and a block whose series share an
-integer exponent raises by repeated multiplication instead of pow.
+chunked reductions.  The weight's mass and truncation tail are closed-form
+radial integrals, so the module needs numpy and the standard library only.
+Radii come from the radial CDF (tabulated at 2^14 + 1 knots) by a cached
+inverse lookup that reproduces np.interp bit for bit: a table of 2^14 equal
+buckets of [0, 1) gives each draw its knot after one refinement step, and
+np.searchsorted takes the few draws whose bucket holds more than one knot.
+Within a chunk, the sums of |F|^p w/q and its square go over cache-sized
+blocks of series rows, and a block whose series share an integer exponent
+raises by repeated multiplication instead of pow.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 CHUNK = 4096
 _CDF_KNOTS = 2 ** 14
@@ -102,49 +104,94 @@ class BallSpec:
 
     def truncation_tail_fraction(self) -> float:
         """Weight mass discarded beyond the truncation radius, as a fraction
-        of the untruncated total; decays like (1+T)^{dim-decay}."""
-        d, e = self.dim, self.decay
-        if e <= d:
-            raise ValueError("decay exponent must exceed the dimension")
-        key = (d, e, self.trunc, self.shape)
-        if key not in _tail_cache:
-
-            def radial_tail(lo):
-                val, _ = integrate.quad(
-                    lambda u: u ** (d - 1) * float(self.radial_weight(u)),
-                    lo, np.inf, limit=200)
-                return val
-
-            _tail_cache[key] = radial_tail(self.trunc) / radial_tail(0.0)
-        return _tail_cache[key]
+        of the untruncated total; decays like (1+T)^{dim-decay}.  Closed
+        form: see `_radial_integrals`."""
+        return _radial_integrals(self)[1]
 
     def scaled(self, factor: float) -> "BallSpec":
         return BallSpec(center=self.center, radius=self.radius * factor,
                         decay=self.decay, trunc=self.trunc, shape=self.shape)
 
 
-_mass_cache: dict[tuple, float] = {}
-
-
 def weight_mass(ball: BallSpec) -> float:
-    """Z = int over the truncated region of the weight, by 1-D radial
-    quadrature (the weight is spherically symmetric)."""
-    d = ball.dim
-    if ball.decay <= d:
+    """Z = int over the truncated region of the weight: the area of the unit
+    sphere times R^dim times the closed-form radial integral of
+    `_radial_integrals` (the weight is spherically symmetric)."""
+    return sphere_area(ball.dim) * ball.radius ** ball.dim * _radial_integrals(ball)[0]
+
+
+_radial_cache: dict[tuple, tuple[float, float]] = {}
+
+
+def _radial_integrals(ball: BallSpec) -> tuple[float, float]:
+    """(M, tail): M = int_0^T u^{d-1} w(u) du, the radial weight mass inside
+    the truncation at u = r/R = T, and tail the fraction of the untruncated
+    radial integral that lies beyond T.  d is an integer, so both have
+    closed forms (DLMF 8.17); cached per (d, decay, T, shape)."""
+    d, e, t = ball.dim, ball.decay, ball.trunc
+    if e <= d:
         raise ValueError("decay exponent must exceed the dimension")
-    key = (d, ball.decay, ball.trunc, ball.shape)
-    if key not in _mass_cache:
-        val, _ = integrate.quad(
-            lambda u: u ** (d - 1) * float(ball.radial_weight(u)),
-            0.0, ball.trunc, limit=200,
-            points=[1.0] if ball.shape == "plateau" else None)
-        _mass_cache[key] = val
-    return sphere_area(d) * ball.radius ** d * _mass_cache[key]
+    key = (d, e, t, ball.shape)
+    if key not in _radial_cache:
+        integrals = _strict_integrals if ball.shape == "strict" else _plateau_integrals
+        _radial_cache[key] = integrals(d, e, t)
+    return _radial_cache[key]
+
+
+def _plateau_integrals(d: int, e: float, t: float) -> tuple[float, float]:
+    """The plateau weight is 1 on [0, 1] and u^-e beyond, so with a = e - d
+    the mass is t^d/d for t <= 1 and 1/d + (1 - t^-a)/a otherwise, out of the
+    untruncated e/(d a).  Every sum below has terms of one sign."""
+    a = e - d
+    if t <= 1.0:
+        # tail: ((1 - t^d)/d + 1/a) / (e/(d a))
+        return t ** d / d, (d - a * math.expm1(d * math.log(t))) / e
+    return 1.0 / d - math.expm1(-a * math.log(t)) / a, d / e * math.pow(t, -a)
+
+
+def _strict_integrals(d: int, e: float, t: float) -> tuple[float, float]:
+    """With a = e - d, y = t/(1+t) and x = 1 - y, u = s/(1-s) turns the mass
+    into the incomplete beta function B_y(d, a).  The tail fraction is the
+    regularised I_x(a, d), which for integer d is the finite sum
+    x^a sum_{k<d} (a)_k/k! y^k of positive terms.  The mass is
+    B(a, d) (1 - I_x) with B(a, d) = (d-1)!/(a)_d, and the difference is taken
+    as (1 - x^a) - x^a sum_{0<k<d}.  Where that loses more than one bit (t
+    below the bulk of the weight, so I_x is near 1) the mass comes from the
+    series of positive terms B_y(d, a) = y^d x^a/d sum_k (e)_k/(d+1)_k y^k,
+    which converges there in a few dozen terms."""
+    a = e - d
+    y = t / (1.0 + t)
+    x_a = _inv_pow1p(t, a)
+    terms = [1.0]
+    for k in range(1, d):
+        terms.append(terms[-1] * (a + k - 1) / k * y)
+    tail = x_a * math.fsum(terms)
+    head = -math.expm1(-a * math.log1p(t))          # 1 - x^a
+    diff = head - x_a * math.fsum(terms[1:])       # 1 - I_x
+    if diff >= 0.5 * head:
+        return math.factorial(d - 1) / math.prod(a + k for k in range(d)) * diff, tail
+    term = total = 1.0
+    for k in itertools.count():
+        r = (e + k) / (d + 1 + k) * y
+        term *= r
+        total += term
+        # the ratios tend to y monotonically, so none after this exceeds r_max
+        r_max = max(r, y)
+        if r_max < 1.0 and term * r_max <= 2.0 ** -56 * total * (1.0 - r_max):
+            return y ** d * x_a / d * total, tail
+
+
+def _inv_pow1p(t: float, a: float) -> float:
+    """(1+t)^-a to a few ulp for large a: the power of the rounded sum 1+t,
+    corrected for the sum's rounding error (which a would amplify)."""
+    s = 1.0 + t
+    b = s - 1.0
+    err = (1.0 - (s - b)) + (t - b)
+    return math.pow(s, -a) * math.exp(-a * err / s)
 
 
 _cdf_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _lookup_cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_tail_cache: dict[tuple, float] = {}
 
 
 def _radial_cdf(ball: BallSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +279,6 @@ class _MixtureProposal:
         self.zs = np.array([weight_mass(ball.scaled(r / ball.radius)) for r in self.radii])
         self.grid, self.cdf = _radial_cdf(ball)
         self._first, self._wide, self._slope = _radial_lookup(ball)
-        self.z_target = weight_mass(ball)
 
     def _inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         """np.interp(u, cdf, grid) for u in [0, 1), bit for bit: the knot j

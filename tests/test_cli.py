@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -349,6 +352,40 @@ def test_bad_ball_rejected_at_load(tmp_path, capsys, ball):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not any(tmp_path.joinpath(name).exists() for name in ("report.json", "rows.csv"))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"scenarios": [5]},
+    {"sampler": 5},
+    {"sampler": []},
+    {"ball": None},
+    {"outputs": 7},
+    {"scenarios": [{"kind": "indicator", "N": [16], "surface": 3}]},
+    {"scenarios": [{"kind": "indicator", "N": [16], "field": True}]},
+], ids=["scenario-int", "sampler-int", "sampler-list", "ball-null", "outputs-int",
+        "surface-int", "field-bool"])
+def test_non_object_entry_rejected_at_load(tmp_path, capsys, overrides):
+    # each used to exit 1 with a TypeError or AttributeError traceback
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, **overrides)
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        load_config(str(cfg_path))
+    rc = main(["measure", "--config", str(cfg_path)])
+    assert rc == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # the weight's mass and tail are closed forms; scipy is a test and
+    # benchmark dependency only, and importing it would triple a cold start
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, declab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_golden_config_rows(tmp_path):

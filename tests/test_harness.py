@@ -166,6 +166,30 @@ def test_square_function_single_cap_matches_bilinear():
     assert sq.lhs.value == pytest.approx(bi.lhs.value, rel=1e-12)
 
 
+def test_square_function_rhs_stderr_propagates_cap_errors():
+    b = scenario(ScenarioSpec(kind="bilinear-pair", n_scale=16, p=4.0, nu=0.25, seed=5))
+    rep = measure_square_function(b.surface, b.fields[0], b.squares[0], b.fields[1],
+                                  b.squares[1], 16, 4.0, small_sampler(seed=8), nu=0.25)
+    n1 = len(harness._support_caps(b.fields[0].restrict(b.squares[0]), rep.cap_level))
+    v, s = np.array(rep.per_cap), np.array(rep.per_cap_stderr)
+
+    def rhs(x):
+        return 16.0 ** -1.0 * ((x[:n1] ** 2).sum() * (x[n1:] ** 2).sum()) ** 0.25
+
+    assert rhs(v) == pytest.approx(rep.rhs_lp, rel=1e-12)
+    # delta method with a central-difference gradient
+    grad = np.empty_like(v)
+    for k in range(len(v)):
+        h = 1e-6 * v[k]
+        up, down = v.copy(), v.copy()
+        up[k] += h
+        down[k] -= h
+        grad[k] = (rhs(up) - rhs(down)) / (2 * h)
+    assert np.all(s > 0) and rep.rhs_lp_stderr > 0
+    assert rep.rhs_lp_stderr == pytest.approx(np.sqrt(((grad * s) ** 2).sum()), rel=1e-6)
+    assert rep.ratio_rel_stderr > rep.lhs.rel_stderr
+
+
 def test_square_function_sup_endpoint():
     r1 = DyadicSquare(2, 0, 0)
     r2 = DyadicSquare(2, 3, 3)

@@ -1,6 +1,8 @@
 import math
+import sys
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,25 +16,65 @@ from declab.norms import (BallSpec, PoisonedEstimateError, Sampler,
                           weighted_lp_norm, weighted_norm_batch)
 
 
-def closed_form_mass(ball: BallSpec) -> float:
-    """Binomial-expansion closed form for the truncated radial integral."""
-    d, e, t = ball.dim, ball.decay, ball.trunc
-    if ball.shape == "plateau":
-        val = 1.0 / d + (1.0 - t ** (d - e)) / (e - d)
-        return sphere_area(d) * ball.radius ** d * val
-    total = 0.0
-    for k in range(d):
-        c = math.comb(d - 1, k) * (-1) ** (d - 1 - k)
-        expo = k - e + 1
-        total += c * ((1 + t) ** expo - 1.0) / expo
-    return sphere_area(d) * ball.radius ** d * total
+def _plateau_beyond(d, e, c):
+    """int_c^inf u^{d-1-e} du for c >= 1 by mpmath.quad, after u = c/s maps
+    it onto a smooth integrand on [0, 1] (peaked at s = 1 for large e)."""
+    pts = [s for s in (1 - 8 / e, 1 - 2 / e) if s > 0]
+    return c ** (d - e) * mp.quad(lambda s: s ** (e - d - 1), [0, *pts, 1])
+
+
+@mp.workdps(40)
+def reference_integrals(d: int, decay: float, trunc: float, shape: str):
+    """(radial mass, tail fraction) in 40-digit arithmetic: the strict shape
+    by mpmath.betainc, the plateau shape by mpmath.quad."""
+    e, t = mp.mpf(decay), mp.mpf(trunc)
+    if shape == "strict":
+        return (mp.betainc(d, e - d, 0, t / (1 + t)),
+                mp.betainc(e - d, d, 0, 1 / (1 + t), regularized=True))
+    total = mp.mpf(1) / d + _plateau_beyond(d, e, 1)
+    if t <= 1:
+        mass = mp.quad(lambda u: u ** (d - 1), [0, t])
+        return mass, (mp.quad(lambda u: u ** (d - 1), [t, 1]) + _plateau_beyond(d, e, 1)) / total
+    beyond = _plateau_beyond(d, e, t)
+    return mp.mpf(1) / d + _plateau_beyond(d, e, 1) - beyond, beyond / total
+
+
+@mp.workdps(40)
+def reference_mass(ball: BallSpec) -> float:
+    """weight_mass by `reference_integrals`."""
+    d = ball.dim
+    radial, _ = reference_integrals(d, ball.decay, ball.trunc, ball.shape)
+    return float(2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2)
+                 * mp.mpf(ball.radius) ** d * radial)
 
 
 @pytest.mark.parametrize("shape", ["strict", "plateau"])
 def test_weight_mass_matches_closed_form(shape):
     for dim, radius in ((4, 1.0), (4, 16.0), (2, 5.0)):
         ball = BallSpec.at_origin(dim, radius, shape=shape)
-        assert weight_mass(ball) == pytest.approx(closed_form_mass(ball), rel=1e-9)
+        assert weight_mass(ball) == pytest.approx(reference_mass(ball), rel=1e-13, abs=0)
+
+
+def _rel_err(got: float, want) -> float:
+    """Relative error, with a true value below the smallest normal double
+    met exactly by 0."""
+    if got == 0.0 and want < sys.float_info.min:
+        return 0.0
+    return float(abs(mp.mpf(got) - want) / want)
+
+
+@pytest.mark.parametrize("shape", ["strict", "plateau"])
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("decay", ["d+0.5", 12.0, 100.0, 400.0])
+def test_radial_integrals_match_mpmath(shape, dim, decay):
+    # quad was off by -21.5% on the strict mass at (4, 400, 4); the strict
+    # tail at (4, 400, 10) is about 1e-412, which underflows to 0
+    e = dim + 0.5 if decay == "d+0.5" else decay
+    for t in (0.01, 0.5, 1.0, 4.0, 10.0):
+        ball = BallSpec.at_origin(dim, 1.0, decay=e, trunc=t, shape=shape)
+        _, tail = reference_integrals(dim, e, t, shape)
+        assert _rel_err(weight_mass(ball), reference_mass(ball)) <= 1e-13, (t, "mass")
+        assert _rel_err(ball.truncation_tail_fraction(), tail) <= 1e-13, (t, "tail")
 
 
 def test_weight_mass_dilation_scaling():
