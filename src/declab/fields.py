@@ -24,7 +24,7 @@ separable engine's 1-D interval factors come from a cap-shift recurrence
 step table, so a factor over `rows` intervals of n nodes takes 2n + rows e(.)
 calls per sample instead of rows n; over 128 intervals it stays within
 1.6e-12 of a long-double reference (direct sums: 4.5e-13).  The planar
-parabola's cap sums go through the same factor (`axis_factor`).  Atoms whose
+parabola's cap sums go through the same factor (`AxisFactor`).  Atoms whose
 surface points form an exact arithmetic progression (tested with equality,
 no tolerance) have the phase c0 + k c1, and a two-level split
 e(c0 + k c1) = e(j b c1) e(c0 + i c1), k = j b + i, b = ceil(sqrt(n)), takes
@@ -33,6 +33,16 @@ Every engine evaluates e(.) with one table-driven kernel, `_cis`.  Node sums tak
 NODE_BLOCK nodes at a time, and the quadratic engine and the recurrence a
 block of samples sized by QUAD_BLOCK_ELEMENTS, so temporaries stay bounded
 whatever the node count.
+
+Node counts follow from the resolution radius x_max, the bound on |x|_inf
+of the samples, except on the separable engine's 1-D factors, which resolve
+each sample for its own |x|_inf on a node ladder: level l holds
+nodes_for_cycles(x_max 2^-l bound side) nodes, levels go down while each
+keeps at most 3/4 of the previous one's nodes (210, 113, 65, 41, 29 at
+N = 256), and a sample takes the deepest level whose radius x_max 2^-l
+covers it, level 0 beyond x_max.  So every sample within x_max is summed on
+at least the nodes its own frequency needs, and the mixture sampler's many
+samples well inside x_max cost a fraction of level 0's.
 """
 
 from __future__ import annotations
@@ -157,17 +167,19 @@ def _interval_sums(nodes: np.ndarray, amps: np.ndarray, phase: Callable,
 def _shift_sums(rows: np.ndarray, h: float, u: np.ndarray, amps: np.ndarray,
                 lin: np.ndarray, quad: np.ndarray) -> np.ndarray:
     """1-D extension sums of the phase lin t + quad t^2 over the intervals
-    [r h, (r+1) h], r in rows (sorted integers): (len(rows), B).  u holds the
-    local Gauss nodes (offsets from an interval's start), amps[k] interval
-    k's weighted amplitudes, lin and quad the (B,) coefficients.
+    [r h, (r+1) h], r in rows (sorted integers), without their corner factors
+    e(lin rh + quad (rh)^2): (len(rows), B).  u holds the local Gauss nodes
+    (offsets from an interval's start), amps[k] interval k's weighted
+    amplitudes, lin and quad the (B,) coefficients.
 
     Cap shift: lin (rh + u) + quad (rh + u)^2 = [lin rh + quad (rh)^2]
     + (lin + 2 quad rh) u + quad u^2, so the node part P_r = e((lin + 2 quad
     rh) u + quad u^2) obeys P_{r+1} = P_r Z with Z = e(2 quad h u).  P starts
     exactly at the first row and steps through every row up to the last, gaps
-    included; per sample that is 2n + rows e(.) calls instead of rows n.
-    Nodes go NODE_BLOCK at a time and samples in blocks that keep P and Z
-    within QUAD_BLOCK_ELEMENTS elements together."""
+    included; per sample that is 2n e(.) calls, and rows more for the
+    corners, instead of rows n.  Nodes go NODE_BLOCK at a time and samples
+    in blocks that keep P and Z within QUAD_BLOCK_ELEMENTS elements
+    together; one e(.) pass makes both."""
     batch = lin.shape[0]
     out = np.zeros((len(rows), batch), dtype=complex)
     r0 = int(rows[0])
@@ -177,17 +189,18 @@ def _shift_sums(rows: np.ndarray, h: float, u: np.ndarray, amps: np.ndarray,
         for b0 in range(0, batch, step):
             sl = slice(b0, b0 + step)
             q = quad[sl]
-            P = _cis(np.multiply.outer(ub, lin[sl] + 2 * r0 * h * q)
-                     + np.multiply.outer(ub * ub, q))
-            Z = _cis(np.multiply.outer(2 * h * ub, q))
+            ph = np.empty((2, ub.shape[0], q.shape[0]))
+            np.multiply.outer(ub, lin[sl] + 2 * r0 * h * q, out=ph[0])
+            ph[0] += np.multiply.outer(ub * ub, q)
+            np.multiply.outer(2 * h * ub, q, out=ph[1])
+            P, Z = _cis(ph)
+            del ph
             r = r0
             for k, row in enumerate(rows):
                 for _ in range(row - r):
                     P *= Z
                 r = row
                 out[k, sl] += amps[k, lo:lo + NODE_BLOCK] @ P
-    c = rows * h
-    out *= _cis(np.multiply.outer(c, lin) + np.multiply.outer(c * c, quad))
     return out
 
 
@@ -270,24 +283,84 @@ def _ones(t):
     return np.ones_like(np.asarray(t, dtype=float), dtype=complex)
 
 
-def axis_factor(rows: np.ndarray, side: float, n: int, g: Callable | None,
-                part: Callable | None, lin: int, quad) -> Callable:
+class AxisFactor:
     """X -> (len(rows), B): the 1-D extension sums over the intervals
-    [r side, (r+1) side], r in rows (sorted integers), each on n Gauss nodes
-    with amplitude g (None: 1).  With quad None the phase is the table
-    part(nodes, X), summed directly; otherwise it is lin t + quad t^2 with
-    the coefficient lin = X[:, lin] and quad = X[:, -len(quad):] @ quad (the
-    trailing coordinates' coefficients in t^2), summed by the cap shift of
-    `_shift_sums`."""
-    xg, wg = _gauss(n)
-    u = side / 2 * (xg + 1.0)
-    w = side / 2 * wg
-    nodes = np.add.outer(rows * side, u)
-    amp = np.asarray((g if g is not None else _ones)(nodes), dtype=complex) * w
-    if quad is None:
-        return lambda X: _interval_sums(nodes, amp, part, X)
-    quad = np.array(quad, dtype=float)
-    return lambda X: _shift_sums(rows, side, u, amp, X[:, lin], X[:, -len(quad):] @ quad)
+    [r side, (r+1) side], r in rows (sorted integers), with amplitude g
+    (None: 1).  With quad None the phase is the table part(nodes, X), summed
+    directly; otherwise it is lin t + quad t^2 with the coefficient
+    lin = X[:, lin] and quad = X[:, -len(quad):] @ quad (the trailing
+    coordinates' coefficients in t^2), summed by the cap shift of
+    `_shift_sums`.  The phase varies at most bound |x|_inf per unit t.
+
+    Node ladder: level l resolves the radius x_max 2^-l on
+    nodes[l] = nodes_for_cycles(x_max 2^-l bound side, node_factor) Gauss
+    nodes, and levels are added while the next keeps at most 3/4 of the
+    nodes.  A sample is summed on the deepest level whose radius covers its
+    |x|_inf, so on at least as many nodes as its own frequency needs;
+    samples beyond x_max take level 0."""
+
+    def __init__(self, rows: np.ndarray, side: float, x_max: float, bound: float,
+                 node_factor: int, g: Callable | None, part: Callable | None,
+                 lin: int, quad):
+        self.rows, self._side, self._part, self._lin = rows, side, part, lin
+        self._quad = None if quad is None else np.array(quad, dtype=float)
+        nodes = [nodes_for_cycles(x_max * bound * side, node_factor)]
+        while 4 * (n := nodes_for_cycles(x_max * 2.0 ** -len(nodes) * bound * side,
+                                         node_factor)) <= 3 * nodes[-1]:
+            nodes.append(n)
+        self.nodes = np.array(nodes)
+        # -radius by level, ascending, for the placement search
+        self._neg_radii = -x_max * 2.0 ** -np.arange(len(nodes))
+        amplitude = g if g is not None else _ones
+        self._levels = []           # (local nodes u, nodes, weighted amplitudes)
+        for n in nodes:
+            xg, wg = _gauss(n)
+            u = side / 2 * (xg + 1.0)
+            t = np.add.outer(rows * side, u)
+            amp = np.asarray(amplitude(t), dtype=complex) * (side / 2 * wg)
+            self._levels.append((u, t, amp))
+
+    def level_of(self, X: np.ndarray) -> np.ndarray:
+        """The ladder level of each sample: the deepest whose radius covers
+        its |x|_inf, 0 beyond x_max."""
+        reach = np.abs(X).max(axis=1, initial=0.0)
+        covered = np.searchsorted(self._neg_radii, -reach, side="right")
+        return np.maximum(covered - 1, 0)
+
+    def _level_sums(self, level: int, coef: np.ndarray) -> np.ndarray:
+        """Level `level`'s sums at its samples' coefficients: the samples
+        themselves for a phase table, the (lin, quad) columns for the cap
+        shift, whose corner factors `sums` applies."""
+        u, t, amp = self._levels[level]
+        if self._quad is None:
+            return _interval_sums(t, amp, self._part, coef)
+        return _shift_sums(self.rows, self._side, u, amp, coef[:, 0], coef[:, 1])
+
+    def sums(self, X: np.ndarray) -> tuple[np.ndarray, int]:
+        """(the (rows, B) sums, the node-samples summed for them).  Each
+        level sums its own samples, scattered into the result; the cap
+        shift's corner factors go on once, over the whole batch."""
+        level = self.level_of(X)
+        count = np.bincount(level, minlength=len(self.nodes))
+        work = len(self.rows) * int(count @ self.nodes)
+        coef = X
+        if self._quad is not None:
+            coef = np.column_stack([X[:, self._lin], X[:, -len(self._quad):] @ self._quad])
+        present = np.flatnonzero(count)
+        if len(present) <= 1:
+            out = self._level_sums(int(present[0]) if len(present) else 0, coef)
+        else:
+            out = np.empty((len(self.rows), X.shape[0]), dtype=complex)
+            for k in present:
+                at = np.flatnonzero(level == k)
+                out[:, at] = self._level_sums(int(k), coef[at])
+        if self._quad is not None:
+            c = self.rows * self._side
+            out *= _cis(np.multiply.outer(c, coef[:, 0]) + np.multiply.outer(c * c, coef[:, 1]))
+        return out, work
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return self.sums(X)[0]
 
 
 @dataclass(frozen=True)
@@ -490,7 +563,9 @@ class ExtensionEvaluator:
 
     x_max bounds the sup-norm of the frequency points that will be queried;
     quadrature node counts grow linearly with it so that the oscillatory
-    integrals stay resolved.
+    integrals stay resolved (on the separable engine, with each sample's own
+    sup-norm: see `AxisFactor`).  node_samples counts the node-samples that
+    cell_values has summed.
     """
 
     def __init__(self, surface: SurfaceEvaluator, amp_field: AmplitudeField,
@@ -498,6 +573,7 @@ class ExtensionEvaluator:
         self.surface = surface
         self.field = amp_field
         self.x_max = float(x_max)
+        self.node_samples = 0
         self._mode = None
         if amp_field.mode == "atomic":
             self._mode = "atomic"
@@ -543,18 +619,32 @@ class ExtensionEvaluator:
         # directly from the split's phase tables.
         f = self.field
         side = f.cells[0].side
-        n1 = nodes_for_cycles(self.x_max * self._phase_bound() * side, f.node_factor)
+        bound = self._phase_bound()
         ti = np.array(sorted({c.i for c in f.cells}))
         sj = np.array(sorted({c.j for c in f.cells}))
-        self._cell_rows = np.searchsorted(ti, [c.i for c in f.cells])
-        self._cell_cols = np.searchsorted(sj, [c.j for c in f.cells])
-        self._nodes_per_sample = n1 * (len(ti) + len(sj))
+        cell_rows = np.searchsorted(ti, [c.i for c in f.cells])
+        cell_cols = np.searchsorted(sj, [c.j for c in f.cells])
         quad_t = quad_s = None
         if isinstance(self.surface, QuadSurface):
             a = self.surface.coeffs
             quad_t, quad_s = (a.a1, a.a4), (a.a3, a.a6)
-        self._factors = [axis_factor(ti, side, n1, f.g1, split[0], 0, quad_t),
-                         axis_factor(sj, side, n1, f.g2, split[1], 1, quad_s)]
+        self._factors = [
+            AxisFactor(ti, side, self.x_max, bound, f.node_factor, f.g1, split[0], 0, quad_t),
+            AxisFactor(sj, side, self.x_max, bound, f.node_factor, f.g2, split[1], 1, quad_s)]
+        self._nodes_per_sample = int(self._factors[0].nodes[0]) * (len(ti) + len(sj))
+        # Cell values go one row of cells at a time: (cells of the row, as a
+        # slice when they are contiguous; their columns, a slice when they
+        # are every column in order).
+        self._row_cells = []
+        for r in range(len(ti)):
+            at = np.flatnonzero(cell_rows == r)
+            cols = cell_cols[at]
+            if np.array_equal(cols, np.arange(len(sj))):
+                cols = slice(None)
+            if at[-1] - at[0] + 1 == len(at):
+                at = slice(int(at[0]), int(at[-1]) + 1)
+            self._row_cells.append((r, at, cols))
+        self._unit_coeffs = bool(np.all(f.coeffs == 1))
 
     def _build_quadratic(self):
         # Cells share one level, so one local Gauss grid u = v (offsets from
@@ -676,15 +766,15 @@ class ExtensionEvaluator:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if not np.all(np.isfinite(X)):
             raise ValueError("non-finite evaluation point")
+        if self._mode == "separable":
+            return self._separable_values(X)
+        self.node_samples += self._nodes_per_sample * X.shape[0]
         if self._mode == "atomic":
             if self._split is not None:
                 return _progression_values(self._phase, self._amps, self._split, X)
             vals = _cis(self._phase @ X.T)
             vals *= self._amps[:, None]
             return vals
-        if self._mode == "separable":
-            ft, fs = (factor(X) for factor in self._factors)
-            return self.field.coeffs[:, None] * ft[self._cell_rows] * fs[self._cell_cols]
         out = np.empty((len(self.field.cells), X.shape[0]), dtype=complex)
         if self._mode == "quadratic":
             step = self._q_step
@@ -697,15 +787,33 @@ class ExtensionEvaluator:
             out[k] = _node_sum(amp, lambda blk, psi=psi: psi[blk] @ X.T, X.shape[0])
         return out
 
+    def _separable_values(self, X: np.ndarray) -> np.ndarray:
+        """coeff ft[i] fs[j] per cell (i, j), one broadcast multiply per row
+        of cells into one (cells, B) array; unit coefficients (x 1 is exact)
+        are not multiplied."""
+        (ft, work_t), (fs, work_s) = (factor.sums(X) for factor in self._factors)
+        self.node_samples += work_t + work_s
+        out = np.empty((len(self.field.cells), X.shape[0]), dtype=complex)
+        for r, at, cols in self._row_cells:
+            if isinstance(at, slice):
+                np.multiply(ft[r], fs[cols], out=out[at])
+            else:
+                out[at] = ft[r] * fs[cols]
+        if not self._unit_coeffs:
+            out *= self.field.coeffs[:, None]
+        return out
+
     def total(self, X) -> np.ndarray:
         """E g(x) on the batch: sum of the cell values."""
         return self.cell_values(X).sum(axis=0)
 
     @property
     def nodes_per_sample(self) -> int:
-        """Quadrature nodes summed per sample point (atomic: point masses):
-        n x (t intervals + s intervals) on the separable engine, the sum of
-        the cells' n^2 otherwise."""
+        """Quadrature nodes per sample point at the resolution radius x_max
+        (atomic: point masses): n x (t intervals + s intervals) on the
+        separable engine, with n its level-0 node count, the sum of the
+        cells' n^2 otherwise.  The separable engine sums fewer for samples
+        well inside x_max; `node_samples` counts what was summed."""
         return self._nodes_per_sample
 
     @property
@@ -734,7 +842,7 @@ def extension_value(surface: SurfaceEvaluator, amp_field: AmplitudeField, x) -> 
 
 # ---------------------------------------------------------------------------
 # 1-D interval extensions of general phases (the moment-curve pipelines;
-# the planar parabola takes `axis_factor`'s cap shift)
+# the planar parabola takes `AxisFactor`'s cap shift)
 
 
 class LineEvaluator:

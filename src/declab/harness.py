@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import (AmplitudeField, ExtensionEvaluator, LineEvaluator, axis_factor,
-                     extension_evaluator, nodes_for_cycles)
+from .fields import (AmplitudeField, AxisFactor, ExtensionEvaluator, LineEvaluator,
+                     extension_evaluator)
 from .geometry import (CurveEvaluator, QuadCoeffs, SurfaceEvaluator, curve_lift,
                        moment_curve, quad_surface)
 from .grid import CapPartition, DyadicSquare, cap_level_for, square_at
@@ -436,12 +436,11 @@ def parabola_reference(n_scale: float, p: float, sampler: Sampler,
     planar theorem makes this a calibration of the whole pipeline.  The ball
     must be 2-D."""
     m = cap_level_for(n_scale)
-    side = 2.0 ** (-m)
 
     def make_sources(x_max):
-        # the phase x1 t + x2 t^2 varies at most 3 x_max per unit t
-        n1 = nodes_for_cycles(x_max * 3.0 * side)
-        return [(axis_factor(np.arange(2 ** m), side, n1, amplitude, None, 0, (1.0,)), 2 ** m)]
+        # the phase x1 t + x2 t^2 varies at most 3 |x|_inf per unit t
+        caps = np.arange(2 ** m)
+        return [(AxisFactor(caps, 2.0 ** -m, x_max, 3.0, 1, amplitude, None, 0, (1.0,)), 2 ** m)]
 
     return _measure(make_sources, _total, lambda v, s: _aggregate(v[0], s[0], p), p, p,
                     sampler, ball, kind="parabola-2d", n_scale=n_scale, dim=2)
@@ -721,13 +720,14 @@ class SlopeSeries:
 def slope_series(reports: Sequence[DecouplingReport]
                  ) -> tuple[list[SlopeSeries], list[DecouplingReport]]:
     """(series, skipped): the reports grouped by (kind, p) in key order, and
-    the reports whose fitted ratio is missing, not finite or not positive."""
+    those left out: a fitted ratio missing, not finite or not positive, or a
+    customised surface or field (meta["customized"]), not the kind's scenario."""
     groups: dict[tuple[str, str], list[DecouplingReport]] = {}
     skipped = []
     for rep in reports:
         ratio = "ratio_" + fit_aggregate(rep.kind)
         value = getattr(rep, ratio)
-        if value is None or not np.isfinite(value) or value <= 0:
+        if rep.meta.get("customized") or not (value and np.isfinite(value) and value > 0):
             skipped.append(rep)
         else:
             groups.setdefault((f"{rep.kind}:p={rep.p:g}", ratio), []).append(rep)
@@ -779,9 +779,11 @@ def emit_plotdata(reports: Sequence[DecouplingReport]) -> dict:
     ratio with error bars and a fitted slope annotation when three or more
     points exist."""
     series, skipped = slope_series(reports)
+    why = ("empty or non-finite ratio", "customised surface or field")
     out = {"series": [],
            "notes": [{"kind": r.kind, "N": r.n_scale,
-                      "note": "skipped: empty or non-finite ratio"} for r in skipped]}
+                      "note": "skipped: " + why[bool(r.meta.get("customized"))]}
+                     for r in skipped]}
     for s in series:
         entry = {"key": s.key, "ratio": s.ratio,
                  "points": [{"log_N": float(np.log(r.n_scale)),
@@ -791,7 +793,6 @@ def emit_plotdata(reports: Sequence[DecouplingReport]) -> dict:
             entry.update(slope=s.fit.slope, slope_stderr=s.fit.stderr)
         out["series"].append(entry)
     return out
-
 
 
 # ---------------------------------------------------------------------------

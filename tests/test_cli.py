@@ -177,6 +177,26 @@ def test_slopes_and_plotdata_outputs(tmp_path):
     assert len(plot["series"][0]["points"]) == 3
 
 
+def test_slopes_leave_customised_cells_out(tmp_path):
+    # two canonical indicator cells and a customised N=16 one: the customised
+    # cell measures another surface and field, so it joins no fit
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path,
+                 scenarios=[{"kind": "indicator", "N": [16, 64], "p": [6]},
+                            {"kind": "indicator", "N": [16], "p": [6],
+                             "surface": {"type": "quad", "A": [1, 0, 0, 0, 0.5, 0]},
+                             "field": {"mode": "random-phase", "seed": 3}}],
+                 sampler={"strategy": "mc", "budget": 1024, "seed": 9},
+                 outputs={"slopes": str(tmp_path / "slopes.json"),
+                          "plotdata": str(tmp_path / "plot.json")})
+    assert main(["measure", "--config", str(cfg_path)]) == EXIT_OK
+    assert json.loads((tmp_path / "slopes.json").read_text()) == {}
+    plot = json.loads((tmp_path / "plot.json").read_text())
+    assert [len(s["points"]) for s in plot["series"]] == [2]
+    assert plot["notes"] == [{"kind": "indicator", "N": 16.0,
+                              "note": "skipped: customised surface or field"}]
+
+
 def test_surface_and_field_overrides(tmp_path):
     cfg_path = tmp_path / "run.json"
     write_config(cfg_path, scenarios=[{

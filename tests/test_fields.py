@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,14 +9,14 @@ from scipy import integrate
 
 from declab import fields as fields_module
 from declab.fields import (_CROSS_THETA_MAX, NODE_BLOCK, QUAD_BLOCK_ELEMENTS,
-                           AmplitudeField, LineEvaluator, _cis, _cross_split,
+                           AmplitudeField, AxisFactor, LineEvaluator, _cis, _cross_split,
                            _gauss, _interval_sums, _taylor_rank,
                            extension_evaluator, extension_value,
                            nodes_for_cycles)
 from declab.geometry import (QuadCoeffs, curve_lift, moment_curve, quad_surface,
                              random_admissible)
 from declab.grid import CapPartition, DyadicSquare
-from declab.harness import (FLAT_LINE_COEFFS, X_MAX_TAIL, flat_line_points,
+from declab.harness import (FLAT_LINE_COEFFS, X_MAX_TAIL, _x_max, flat_line_points,
                             measurement_ball)
 from declab.norms import (BallSpec, PoisonedEstimateError, Sampler, _MixtureProposal,
                           weighted_norm_batch)
@@ -535,23 +536,38 @@ def test_quadratic_split_memory(monkeypatch):
 # level-3 cells whose rows (1, 3) and columns (0, 2, 5) have gaps and whose
 # rows do not start at 0
 GAPPED = [DyadicSquare(3, 1, 0), DyadicSquare(3, 3, 2), DyadicSquare(3, 3, 5)]
+# the same rows and columns, with the cells of row 3 apart in the field's order
+INTERLEAVED = [DyadicSquare(3, 3, 2), DyadicSquare(3, 1, 0), DyadicSquare(3, 3, 5)]
 
 
-def direct_cell_values(surface, field, x_max, x):
+def ladder_levels(nodes, x_max, x):
+    """Each sample's ladder level by the rule, written out: the deepest level
+    l < len(nodes) with x_max 2^-l >= |x|_inf, and 0 beyond x_max."""
+    reach = np.abs(x).max(axis=1)
+    level = np.zeros(len(x), dtype=int)
+    for k in range(1, len(nodes)):
+        level[reach <= x_max * 2.0 ** -k] = k
+    return level
+
+
+def direct_cell_values(surface, field, x_max, x, nodes):
     """Cell values with both 1-D factors summed by `_interval_sums` from the
-    surface's own phase_split() tables, on the evaluator's nodes."""
+    surface's own phase_split() tables, each sample on the node count of its
+    own ladder level (`nodes` the per-level counts)."""
     part_t, part_s = surface.phase_split()
     side = field.cells[0].side
-    n1 = nodes_for_cycles(x_max * surface.phase_derivative_bound() * side,
-                          field.node_factor)
-    xg, wg = _gauss(n1)
-    u, w = side / 2 * (xg + 1.0), side / 2 * wg
+    level = ladder_levels(nodes, x_max, x)
 
     def factor(idx, g, part):
         rows = np.array(sorted(set(idx)))
-        nodes = np.add.outer(rows * side, u)
-        amp = (g(nodes) if g is not None else np.ones(nodes.shape)) * w
-        sums = _interval_sums(nodes, amp.astype(complex), part, x)
+        sums = np.empty((len(rows), len(x)), dtype=complex)
+        for k in np.unique(level):
+            xg, wg = _gauss(int(nodes[k]))
+            u, w = side / 2 * (xg + 1.0), side / 2 * wg
+            t = np.add.outer(rows * side, u)
+            amp = (g(t) if g is not None else np.ones(t.shape)) * w
+            at = level == k
+            sums[:, at] = _interval_sums(t, amp.astype(complex), part, x[at])
         return sums[np.searchsorted(rows, idx)]
 
     ft = factor([c.i for c in field.cells], field.g1, part_t)
@@ -572,19 +588,114 @@ def test_shift_recurrence_matches_direct_interval_sums(x_max, batch):
         # alone, the corner's values are cancellations of about 1e-8 of the
         # cell area, below the rounding of either sum at 1e-12 of their size
         x[0] = [x_max, -x_max, x_max, -x_max]
+        # samples on every ladder level
+        x[1:] *= 2.0 ** -rng.integers(0, 6, size=batch - 1)[:, None]
     fields = (AmplitudeField.constant(3, 0.5 - 2j, support=GAPPED),
               AmplitudeField.random_phase(3, seed=9, support=GAPPED),
+              AmplitudeField.random_phase(3, seed=9, support=INTERLEAVED),
               AmplitudeField.separable(3, g1, g2, support=GAPPED),
               AmplitudeField.separable(3, g1, g2))
     for f in fields:
         ev = extension_evaluator(surface, f, x_max)
         assert ev._mode == "separable"
         got = ev.cell_values(x)
-        want = direct_cell_values(surface, f, x_max, x)
+        want = direct_cell_values(surface, f, x_max, x, ev._factors[0].nodes)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_curve_lift_keeps_the_direct_interval_sums(monkeypatch):
+# -- the node ladder of the separable engine's 1-D factors ----------------------
+
+
+def test_ladder_levels_of_the_indicator_n256_cell():
+    # the 3/4 stopping rule: 23 nodes would keep more than 3/4 of 29
+    x_max = _x_max(measurement_ball(4, 256.0))
+    ev = extension_evaluator(SQUARES, AmplitudeField.constant(4), x_max)
+    for factor in ev._factors:
+        assert factor.nodes.tolist() == [210, 113, 65, 41, 29]
+    assert ev.nodes_per_sample == 210 * 32
+
+
+@pytest.mark.parametrize("node_factor", [1, 3])
+def test_ladder_sums_every_sample_on_enough_nodes(node_factor):
+    x_max, bound, side = 700.0, 3.0, 1 / 16
+    factor = AxisFactor(np.arange(4), side, x_max, bound, node_factor, None, None, 0,
+                        (1.0,))
+    assert len(factor.nodes) >= 4
+    radii = x_max * 2.0 ** -np.arange(len(factor.nodes))
+    # every level's radius, and just inside and outside it, and samples
+    # spread over [0, x_max]
+    reach = np.concatenate([radii, np.nextafter(radii, 0), radii * (1 + 1e-12),
+                            np.random.default_rng(3).uniform(0, x_max, 200), [0.0]])
+    reach = reach[reach <= x_max]
+    signs = np.random.default_rng(5).choice([-1.0, 1.0], size=(len(reach), 2))
+    x = signs * np.column_stack([reach, reach * 0.3])
+    level = factor.level_of(x)
+    need = [nodes_for_cycles(r * bound * side, node_factor) for r in reach]
+    assert np.all(factor.nodes[level] >= need)
+    # the deepest level that covers: the next one does not
+    deeper = level + 1 < len(factor.nodes)
+    assert np.all(reach[deeper] > radii[level[deeper] + 1])
+    assert np.array_equal(level, ladder_levels(factor.nodes, x_max, x))
+
+
+def test_ladder_puts_samples_beyond_x_max_on_level_0():
+    factor = AxisFactor(np.arange(4), 1 / 16, 700.0, 3.0, 1, None, None, 0, (1.0,))
+    x = np.array([[np.nextafter(700.0, np.inf), 0.0], [0.0, -1e3], [1e9, 1e9]])
+    assert factor.level_of(x).tolist() == [0, 0, 0]
+    assert factor.sums(x)[1] == 3 * 4 * factor.nodes[0]
+
+
+def test_refine_scales_every_ladder_level():
+    x_max = measurement_ball(4, 64.0).quantile_radius(X_MAX_TAIL)
+    f = AmplitudeField.separable(3, g1, g2)
+    base = extension_evaluator(SQUARES, f, x_max)
+    fine = extension_evaluator(SQUARES, f.refine(3), x_max)
+    for a, b in zip(base._factors, fine._factors):
+        assert b.nodes.tolist() == (3 * a.nodes).tolist()
+    x = np.random.default_rng(7).uniform(-x_max, x_max, size=(64, 4))
+    x *= 2.0 ** -(np.arange(64) % 6)[:, None]
+    assert np.array_equal(base._factors[0].level_of(x), fine._factors[0].level_of(x))
+    assert fine.node_samples == 0
+    fine.cell_values(x)
+    base.cell_values(x)
+    assert fine.node_samples == 3 * base.node_samples
+
+
+def test_ladder_at_zero_radius_and_zero_batch_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x_max in (0.0, 5.0):
+            ev = extension_evaluator(SQUARES, AmplitudeField.constant(2), x_max)
+            vals = ev.total(np.zeros((3, 4)))
+            np.testing.assert_allclose(vals, 1.0, rtol=1e-13)
+            assert ev.cell_values(np.zeros((0, 4))).shape == (16, 0)
+        zero = extension_evaluator(SQUARES, AmplitudeField.constant(2), 0.0)
+        assert zero._factors[0].nodes.tolist() == [16]
+
+
+def test_node_samples_counts_what_each_engine_sums():
+    x_max = measurement_ball(4, 64.0).quantile_radius(X_MAX_TAIL)
+    x = np.random.default_rng(11).uniform(-x_max, x_max, size=(40, 4))
+    x[:20] /= 8
+    ev = extension_evaluator(SQUARES, AmplitudeField.constant(3), x_max)
+    ev.cell_values(x)
+    ev.total(x[:5])
+    level = ev._factors[0].level_of(x)
+    per_sample = 16 * ev._factors[0].nodes            # 8 rows + 8 columns
+    assert ev.node_samples == per_sample[level].sum() + per_sample[level[:5]].sum()
+    assert ev.node_samples < ev.nodes_per_sample * 45
+    for field, surface in ((AmplitudeField.constant(2), FLAT),
+                           (AmplitudeField.from_function(1, lambda t, s: t + s), SQUARES),
+                           (AmplitudeField.atomic([[0.1, 0.2], [0.3, 0.9]], [1, 2]),
+                            SQUARES)):
+        ev = extension_evaluator(surface, field, x_max)
+        ev.cell_values(x)
+        assert ev.node_samples == ev.nodes_per_sample * 40
+
+
+def check_curve_lift(monkeypatch, x_max, x):
+    """A curve lift's separable cell values, off the cap shift, against the
+    tensor path on the x_max nodes; returns the evaluator."""
     def no_shift(*args):
         raise AssertionError("a curve lift is not quadratic")
 
@@ -592,12 +703,25 @@ def test_curve_lift_keeps_the_direct_interval_sums(monkeypatch):
     lift = curve_lift(moment_curve(), (0.0, 0.25), (0.75, 1.0))
     f = AmplitudeField.separable(3, g1, g2, support=[
         DyadicSquare(3, 0, 6), DyadicSquare(3, 1, 7), DyadicSquare(3, 1, 6)])
-    x = np.random.default_rng(53).uniform(-6.0, 6.0, size=(9, 4))
-    ev = extension_evaluator(lift, f, 6.0)
+    ev = extension_evaluator(lift, f, x_max)
     assert ev._mode == "separable"
     got = ev.cell_values(x)
-    want = extension_evaluator(lift, generic_copy(f), 6.0).cell_values(x)
+    want = extension_evaluator(lift, generic_copy(f), x_max).cell_values(x)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    return ev
+
+
+def test_curve_lift_keeps_the_direct_interval_sums(monkeypatch):
+    x = np.random.default_rng(53).uniform(-6.0, 6.0, size=(9, 4))
+    check_curve_lift(monkeypatch, 6.0, x)
+
+
+def test_curve_lift_ladder_sums_every_level(monkeypatch):
+    # at x_max = 60 the curve-lift factors have a five-level node ladder
+    rng = np.random.default_rng(53)
+    x = rng.uniform(-60.0, 60.0, size=(9, 4)) * 2.0 ** -rng.integers(0, 5, size=9)[:, None]
+    ev = check_curve_lift(monkeypatch, 60.0, x)
+    assert len(np.unique(ev._factors[0].level_of(x))) >= 3
 
 
 def test_separable_engine_default_and_refined_quadrature_agree():
