@@ -35,8 +35,10 @@ block of samples sized by QUAD_BLOCK_ELEMENTS, so temporaries stay bounded
 whatever the node count.
 
 Node counts follow from the resolution radius x_max, the bound on |x|_inf
-of the samples, except on the separable engine's 1-D factors, which resolve
-each sample for its own |x|_inf on a node ladder: level l holds
+of the samples, except on the 1-D factors (`AxisFactor`: the separable
+engine's factors, the parabola's caps and the curve lines of
+`LineEvaluator`), which resolve each sample for its own |x|_inf on a node
+ladder: level l holds
 nodes_for_cycles(x_max 2^-l bound side) nodes, levels go down while each
 keeps at most 3/4 of the previous one's nodes (210, 113, 65, 41, 29 at
 N = 256), and a sample takes the deepest level whose radius x_max 2^-l
@@ -600,26 +602,13 @@ class ExtensionEvaluator:
 
     # -- cell machinery -----------------------------------------------------
 
-    def _phase_bound(self) -> float:
-        surf = self.surface
-        if hasattr(surf, "phase_derivative_bound"):
-            return surf.phase_derivative_bound()
-        # generic bound from sampled first derivatives
-        tt = np.linspace(0, 1, 33)
-        g = np.meshgrid(tt, tt, indexing="ij")
-        dmax = 0.0
-        for w in ("t", "s"):
-            d = surf.partial(g[0], g[1], w)
-            dmax = max(dmax, float(np.abs(d).sum(axis=-1).max()))
-        return dmax
-
     def _build_separable(self, split):
         # The 1-D factors of a QuadSurface (a2 = a5 = 0) go by the cap-shift
         # recurrence of _shift_sums; other splits (curve lifts) are summed
         # directly from the split's phase tables.
         f = self.field
         side = f.cells[0].side
-        bound = self._phase_bound()
+        bound = self.surface.phase_derivative_bound()
         ti = np.array(sorted({c.i for c in f.cells}))
         sj = np.array(sorted({c.j for c in f.cells}))
         cell_rows = np.searchsorted(ti, [c.i for c in f.cells])
@@ -656,7 +645,8 @@ class ExtensionEvaluator:
         f = self.field
         a = self.surface.coeffs
         side = f.cells[0].side
-        n1 = nodes_for_cycles(self.x_max * self._phase_bound() * side, f.node_factor)
+        bound = self.surface.phase_derivative_bound()
+        n1 = nodes_for_cycles(self.x_max * bound * side, f.node_factor)
         xg, wg = _gauss(n1)
         u = side / 2 * (xg + 1.0)
         w = side / 2 * wg
@@ -745,7 +735,7 @@ class ExtensionEvaluator:
 
     def _build_tensor(self):
         f = self.field
-        bound = self._phase_bound()
+        bound = self.surface.phase_derivative_bound()
         self._tensor_nodes = []
         for cell in f.cells:
             side = cell.side
@@ -841,38 +831,42 @@ def extension_value(surface: SurfaceEvaluator, amp_field: AmplitudeField, x) -> 
 
 
 # ---------------------------------------------------------------------------
-# 1-D interval extensions of general phases (the moment-curve pipelines;
-# the planar parabola takes `AxisFactor`'s cap shift)
+# 1-D interval extensions of general phases (the moment-curve pipelines), on
+# `AxisFactor`'s direct phase tables and node ladder
 
 
-class LineEvaluator:
-    """Extension of 1-D amplitudes over a family of intervals.
+class LineEvaluator(AxisFactor):
+    """Extension of a 1-D amplitude over intervals [r h, (r+1) h] of one
+    side h, r integers (to within 1e-12): the direct branch of `AxisFactor`.
 
-    phase(t_nodes, X) must return the (n_nodes, B) phase table; the
-    derivative bound controls the oscillatory node count.
+    phase(t_nodes, X) must return the (n_nodes, B) phase table, whose
+    variation per unit t is at most phase_derivative_bound |x|_inf; each
+    sample is summed on the ladder level of its own |x|_inf.  node_samples
+    counts the node-samples that interval_values has summed.
     """
 
     def __init__(self, intervals, amplitude: Callable | None, phase: Callable,
                  x_max: float, phase_derivative_bound: float,
                  node_factor: int = 1):
         self.intervals = [(float(a), float(b)) for a, b in intervals]
-        self._phase = phase
-        sides = [b - a for a, b in self.intervals]
-        n1 = nodes_for_cycles(x_max * phase_derivative_bound * max(sides), node_factor)
-        xg, wg = _gauss(n1)
-        nodes, amps = [], []
-        for (a, b) in self.intervals:
-            tn = a + (b - a) / 2 * (xg + 1.0)
-            wn = (b - a) / 2 * wg
-            av = np.asarray(amplitude(tn), dtype=complex) if amplitude else np.ones(n1, complex)
-            nodes.append(tn)
-            amps.append(av * wn)
-        self._nodes = np.array(nodes)
-        self._amps = np.array(amps)
+        ends = np.array(self.intervals).reshape(-1, 2)
+        h = ends[0, 1] - ends[0, 0] if len(ends) else 0.0
+        if not h > 0:
+            raise ValueError("intervals must be nonempty with a positive side")
+        rows = np.rint(ends[:, 0] / h)
+        if not np.allclose(ends, np.column_stack([rows * h, (rows + 1) * h]),
+                           rtol=0.0, atol=1e-12):
+            raise ValueError("intervals must share one side h and lie on its "
+                             "grid [r h, (r+1) h]")
+        super().__init__(rows.astype(int), h, x_max, phase_derivative_bound,
+                         node_factor, amplitude, phase, 0, None)
+        self.node_samples = 0
 
     def interval_values(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return _interval_sums(self._nodes, self._amps, self._phase, X)
+        out, work = self.sums(X)
+        self.node_samples += work
+        return out
 
     def total(self, X) -> np.ndarray:
         return self.interval_values(X).sum(axis=0)

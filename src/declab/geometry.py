@@ -120,6 +120,11 @@ class SurfaceEvaluator:
         phase contributions.  None when no separable structure exists."""
         return None
 
+    def phase_derivative_bound(self) -> float:
+        """sup over the domain of |grad_(t,s) (x.psi)| / |x|_inf, used to
+        size oscillatory quadratures."""
+        raise NotImplementedError
+
 
 class QuadSurface(SurfaceEvaluator):
     """The model surface (t, s, q1(t,s), q2(t,s))."""
@@ -251,6 +256,16 @@ class CurveEvaluator:
             return np.asarray(self._func(t))
         return fd_derivative(lambda u: np.asarray(self._func(u)), t, order)
 
+    def phase(self, t, X) -> np.ndarray:
+        """The (len(t), B) phase table x . c(t) of the samples X."""
+        return self.value(np.asarray(t, dtype=float)) @ X.T
+
+    def phase_derivative_bound(self) -> float:
+        """max over 257 equispaced t in [0,1] of |c'(t)|_1: the variation of
+        x . c(t) per unit t is at most this times |x|_inf."""
+        t = np.linspace(0.0, 1.0, 257)
+        return float(np.abs(self.derivative(t, 1)).sum(axis=-1).max())
+
 
 def moment_curve() -> CurveEvaluator:
     """The canonical nondegenerate curve (t, t^2, t^3, t^4)."""
@@ -330,12 +345,10 @@ class CurveLiftSurface(SurfaceEvaluator):
         raise ValueError(f"unknown partial {which!r}")
 
     def phase_split(self):
-        curve = self.curve
+        return self.curve.phase, self.curve.phase
 
-        def part_t(tt, X):
-            return curve.value(np.asarray(tt, dtype=float)) @ X.T
-
-        return part_t, part_t
+    def phase_derivative_bound(self) -> float:
+        return self.curve.phase_derivative_bound()
 
 
 def curve_lift(curve: CurveEvaluator, i1, i2) -> CurveLiftSurface:

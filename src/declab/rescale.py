@@ -31,14 +31,6 @@ class ShearMap:
         if self.delta == 0.0:
             raise ValueError("cap side must be nonzero")
 
-    @classmethod
-    def for_square(cls, coeffs: QuadCoeffs, square) -> "ShearMap":
-        if isinstance(square, DyadicSquare):
-            a, b = square.corner
-            return cls(coeffs, a, b, square.side)
-        a, b, delta = square
-        return cls(coeffs, float(a), float(b), float(delta))
-
     def matrix(self) -> np.ndarray:
         a, b, d = self.a, self.b, self.delta
         c = self.coeffs

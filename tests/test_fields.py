@@ -615,34 +615,75 @@ def test_ladder_levels_of_the_indicator_n256_cell():
     assert ev.nodes_per_sample == 210 * 32
 
 
+MOMENT = moment_curve()
+
+
+def parabola_factor(x_max, side, node_factor):
+    """(factor, per-unit phase bound, sample dimension) of four parabola caps."""
+    return (AxisFactor(np.arange(4), side, x_max, 3.0, node_factor, None, None, 0, (1.0,)),
+            3.0, 2)
+
+
+def moment_line(x_max, side, node_factor):
+    """The same for a moment-curve line over four intervals."""
+    intervals = [(k * side, (k + 1) * side) for k in range(4)]
+    bound = MOMENT.phase_derivative_bound()
+    return (LineEvaluator(intervals, None, MOMENT.phase, x_max, bound, node_factor),
+            bound, 4)
+
+
 @pytest.mark.parametrize("node_factor", [1, 3])
 def test_ladder_sums_every_sample_on_enough_nodes(node_factor):
-    x_max, bound, side = 700.0, 3.0, 1 / 16
-    factor = AxisFactor(np.arange(4), side, x_max, bound, node_factor, None, None, 0,
-                        (1.0,))
-    assert len(factor.nodes) >= 4
-    radii = x_max * 2.0 ** -np.arange(len(factor.nodes))
-    # every level's radius, and just inside and outside it, and samples
-    # spread over [0, x_max]
-    reach = np.concatenate([radii, np.nextafter(radii, 0), radii * (1 + 1e-12),
-                            np.random.default_rng(3).uniform(0, x_max, 200), [0.0]])
-    reach = reach[reach <= x_max]
-    signs = np.random.default_rng(5).choice([-1.0, 1.0], size=(len(reach), 2))
-    x = signs * np.column_stack([reach, reach * 0.3])
-    level = factor.level_of(x)
-    need = [nodes_for_cycles(r * bound * side, node_factor) for r in reach]
-    assert np.all(factor.nodes[level] >= need)
-    # the deepest level that covers: the next one does not
-    deeper = level + 1 < len(factor.nodes)
-    assert np.all(reach[deeper] > radii[level[deeper] + 1])
-    assert np.array_equal(level, ladder_levels(factor.nodes, x_max, x))
+    x_max, side = 700.0, 1 / 16
+    for make in (parabola_factor, moment_line):
+        factor, bound, dim = make(x_max, side, node_factor)
+        assert len(factor.nodes) >= 4
+        radii = x_max * 2.0 ** -np.arange(len(factor.nodes))
+        # every level's radius, and just inside and outside it, and samples
+        # spread over [0, x_max]
+        reach = np.concatenate([radii, np.nextafter(radii, 0), radii * (1 + 1e-12),
+                                np.random.default_rng(3).uniform(0, x_max, 200), [0.0]])
+        reach = reach[reach <= x_max]
+        signs = np.random.default_rng(5).choice([-1.0, 1.0], size=(len(reach), dim))
+        x = signs * np.multiply.outer(reach, [1.0, 0.3, 0.7, 0.1][:dim])
+        level = factor.level_of(x)
+        need = [nodes_for_cycles(r * bound * side, node_factor) for r in reach]
+        assert np.all(factor.nodes[level] >= need)
+        # the deepest level that covers: the next one does not
+        deeper = level + 1 < len(factor.nodes)
+        assert np.all(reach[deeper] > radii[level[deeper] + 1])
+        assert np.array_equal(level, ladder_levels(factor.nodes, x_max, x))
 
 
 def test_ladder_puts_samples_beyond_x_max_on_level_0():
-    factor = AxisFactor(np.arange(4), 1 / 16, 700.0, 3.0, 1, None, None, 0, (1.0,))
-    x = np.array([[np.nextafter(700.0, np.inf), 0.0], [0.0, -1e3], [1e9, 1e9]])
-    assert factor.level_of(x).tolist() == [0, 0, 0]
-    assert factor.sums(x)[1] == 3 * 4 * factor.nodes[0]
+    for make in (parabola_factor, moment_line):
+        factor, _, dim = make(700.0, 1 / 16, 1)
+        x = np.zeros((3, dim))
+        x[0, 0], x[1, -1], x[2] = np.nextafter(700.0, np.inf), -1e3, 1e9
+        assert factor.level_of(x).tolist() == [0, 0, 0]
+        assert factor.sums(x)[1] == 3 * 4 * factor.nodes[0]
+
+
+@pytest.mark.parametrize("intervals", [[(0.0, 0.25), (0.25, 0.375)],
+                                       [(0.1, 0.35)],
+                                       [(0.0, 0.25), (0.3, 0.55)],
+                                       [(0.5, 0.5)], []])
+def test_line_evaluator_rejects_intervals_off_one_grid(intervals):
+    # unequal sides, off the grid [r h, (r+1) h], no positive side
+    with pytest.raises(ValueError, match="intervals must"):
+        LineEvaluator(intervals, None, MOMENT.phase, 8.0, 10.0)
+
+
+def test_moment_curve_lift_keeps_its_level_0_node_count():
+    # the lift's bound is the curve's, max |c'(t)|_1 = |c'(1)|_1 = 10
+    lift = curve_lift(MOMENT, (0.0, 0.25), (0.75, 1.0))
+    assert lift.phase_derivative_bound() == MOMENT.phase_derivative_bound() == 10.0
+    f = AmplitudeField.constant(3, support=[DyadicSquare(3, 0, 6), DyadicSquare(3, 1, 7)])
+    for x_max in (6.0, 60.0, 700.0):
+        ev = extension_evaluator(lift, f, x_max)
+        n0 = nodes_for_cycles(x_max * 10.0 / 8)
+        assert ev._factors[0].nodes[0] == n0
+        assert ev.nodes_per_sample == n0 * (2 + 2)
 
 
 def test_refine_scales_every_ladder_level():
@@ -691,6 +732,13 @@ def test_node_samples_counts_what_each_engine_sums():
         ev = extension_evaluator(surface, field, x_max)
         ev.cell_values(x)
         assert ev.node_samples == ev.nodes_per_sample * 40
+    line = LineEvaluator([(0.0, 0.125), (0.125, 0.25)], None, MOMENT.phase, x_max,
+                         MOMENT.phase_derivative_bound())
+    line.interval_values(x)
+    line.total(x[:5])
+    level = line.level_of(x)
+    assert line.node_samples == 2 * (line.nodes[level].sum() + line.nodes[level[:5]].sum())
+    assert line.node_samples < 2 * line.nodes[0] * 45
 
 
 def check_curve_lift(monkeypatch, x_max, x):

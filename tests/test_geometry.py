@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from declab import geometry
 from declab.geometry import (CurveEvaluator, DegenerateParametrizationError,
-                             QuadCoeffs, curve_lift, curve_nondegeneracy_det,
+                             QuadCoeffs, SurfaceEvaluator, curve_lift,
+                             curve_nondegeneracy_det,
                              fd_derivative, is_admissible, is_nondegenerate,
                              lift_det_grid_min, lift_nondegeneracy_det,
                              moment_curve, normal_form, quad_surface,
@@ -207,3 +209,14 @@ def test_curve_lift_values_and_symmetry():
 def test_curve_lift_separation_flag():
     assert curve_lift(moment_curve(), (0.0, 0.25), (0.75, 1.0)).separated
     assert not curve_lift(moment_curve(), (0.0, 0.6), (0.4, 1.0)).separated
+
+
+def test_every_surface_defines_its_phase_derivative_bound():
+    # the quadrature builders and the benchmark's tracer call it directly
+    surfaces = [c for c in vars(geometry).values() if isinstance(c, type)
+                and issubclass(c, SurfaceEvaluator) and c is not SurfaceEvaluator]
+    assert {c.__name__ for c in surfaces} >= {"QuadSurface", "CurveLiftSurface"}
+    for cls in surfaces:
+        assert "phase_derivative_bound" in vars(cls), cls.__name__
+    with pytest.raises(NotImplementedError):
+        SurfaceEvaluator().phase_derivative_bound()

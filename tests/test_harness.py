@@ -295,9 +295,11 @@ def test_parabola_rejects_a_ball_of_another_dimension():
 
 
 def test_curve_product_identity():
-    res = curve_product_identity_residual(moment_curve(), (0.0, 0.25), (0.75, 1.0),
-                                          None, None, 16, n_points=40, seed=1)
-    assert res < 1e-12
+    # the lines against the tensor engine, with unit and non-constant amplitudes
+    for h1, h2 in ((None, None), (chirp, lambda s: np.cos(5 * s) + 0.3j)):
+        res = curve_product_identity_residual(moment_curve(), (0.0, 0.25), (0.75, 1.0),
+                                              h1, h2, 16, n_points=40, seed=1)
+        assert res < 1e-12
 
 
 def test_curve_bilinear_rejects_close_intervals():
