@@ -19,7 +19,7 @@ from .harness import (DecouplingReport, ScenarioSpec, curve_bilinear,
                       measure_bilinear, measure_linear,
                       measure_square_function, measure_trivial,
                       parabola_reference, predicted_exponent, run_cell,
-                      scaling_study, scenario)
+                      scenario)
 from .norms import (BallSpec, NormEstimate, PoisonedEstimateError, Sampler,
                     weight_mass, weighted_lp_norm, weighted_norm_batch)
 from .rescale import ShearMap, rescale_field, rescaling_residual, shear_point

@@ -4,7 +4,7 @@ Assembles the laboratory measurements: linear cap decoupling ratios (l^p and
 l^2 aggregation), bilinear and square-function variants over transverse
 square pairs, the trivial decoupling of disjoint squares, the planar-curve
 calibration, the bilinear curve measurement, canonical scenario builders,
-and multi-scale slope studies.
+and multi-scale slope fits (`slope_series`, `emit_plotdata`).
 
 Measured ratios are certified lower bounds for the decoupling constant at
 the specific amplitude input; the harness never claims to compute the sup
@@ -20,7 +20,7 @@ about mass spread over the full ball, which the strict paper-form weight
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
@@ -737,38 +737,6 @@ def slope_series(reports: Sequence[DecouplingReport]
                             [r.ratio_rel_stderr for r in reps])
         series.append(SlopeSeries(key, ratio, reps, fit))
     return series, skipped
-
-
-@dataclass
-class StudyResult:
-    reports: list[DecouplingReport]
-    slopes: dict[tuple[str, float], SlopeFit]
-
-    def rows(self) -> list[dict]:
-        return [r.to_row() for r in self.reports]
-
-
-def scaling_study(kind: str, n_scales: Sequence[float], ps: Sequence[float],
-                  sampler: Sampler, **spec_kw) -> StudyResult:
-    """Measure a scenario across scales and fit log-log slopes per p.
-
-    With fewer than three scales the slope is omitted (with a warning entry
-    in the report metadata) rather than fitted.
-    """
-    reports = []
-    for p in ps:
-        for n in n_scales:
-            spec = ScenarioSpec(kind=kind, n_scale=float(n), p=float(p), **spec_kw)
-            cell_sampler = replace(sampler, seed=sampler.seed + int(np.log2(max(n, 2))))
-            reports.append(run_cell(spec, cell_sampler))
-    slopes = {}
-    for s in slope_series(reports)[0]:
-        if s.fit is not None:
-            slopes[(kind, s.reports[0].p)] = s.fit
-            continue
-        for r in s.reports:
-            r.meta["slope_warning"] = "fewer than three scales; slope omitted"
-    return StudyResult(reports=reports, slopes=slopes)
 
 
 def emit_plotdata(reports: Sequence[DecouplingReport]) -> dict:

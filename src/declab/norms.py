@@ -92,11 +92,6 @@ class BallSpec:
             return (1.0 + u) ** (-self.decay)
         return (1.0 + np.maximum(0.0, u - 1.0)) ** (-self.decay)
 
-    def weight(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(x - np.asarray(self.center), axis=-1) / self.radius
-        return self.radial_weight(r)
-
     def quantile_radius(self, tail: float = 1e-9) -> float:
         """Radius containing all but the given tail of the sampling mass."""
         grid, cdf = _radial_cdf(self)
@@ -238,19 +233,21 @@ class Sampler:
 
     budget: int = 20000
     seed: int = 0
-    strategy: str = "mc"          # "mc" | "lattice"
+    strategy: str = "mc"          # "mc", the only strategy
     proposal: str = "mixture"     # "ball" | "mixture"
     chunk: int = CHUNK
 
     def __post_init__(self):
-        if self.strategy not in ("mc", "lattice"):
-            raise ValueError("strategy must be 'mc' or 'lattice'")
+        if self.strategy != "mc":
+            raise ValueError(f"strategy must be 'mc', got {self.strategy!r}")
         if self.proposal not in ("ball", "mixture"):
             raise ValueError("proposal must be 'ball' or 'mixture'")
         if self.chunk < 1:
             raise ValueError("chunk must be at least 1")
-        if self.budget < 1000 and self.strategy == "mc":
+        if self.budget < 1000:
             raise ValueError("mc budget must be at least 10^3")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class _MixtureProposal:
@@ -342,10 +339,8 @@ class NormEstimate:
     value: float
     stderr: float | None
     count: int
-    strategy: str
     seed: int
     p: float
-    spacing: float | None = None
     approximate: bool = False
     truncation_tail: float | None = None
 
@@ -460,8 +455,6 @@ def weighted_norm_batch(evaluator: Callable[[np.ndarray], object],
     ps = [float(p) for p in ps]
     if any(p < 1.0 for p in ps):
         raise ValueError("norm exponents must be >= 1")
-    if sampler.strategy == "lattice":
-        return _lattice_norm_batch(evaluator, ball, ps, sampler)
     prop = _MixtureProposal(ball, defensive=(sampler.proposal == "mixture"))
     acc = None
     tot = 0
@@ -484,8 +477,8 @@ def weighted_norm_batch(evaluator: Callable[[np.ndarray], object],
     for i, p in enumerate(ps):
         if not np.isfinite(p):
             out.append(NormEstimate(value=float(maxes[i]), stderr=None, count=tot,
-                                    strategy="mc", seed=sampler.seed, p=p,
-                                    approximate=True, truncation_tail=tail))
+                                    seed=sampler.seed, p=p, approximate=True,
+                                    truncation_tail=tail))
             continue
         # E_q[|F|^p w/q] = int |F|^p w, so the weighted mean is the integral
         integral = s1[i] / tot
@@ -493,8 +486,7 @@ def weighted_norm_batch(evaluator: Callable[[np.ndarray], object],
         value = integral ** (1.0 / p)
         stderr = math.sqrt(var) * value / (p * integral) if integral > 0 else 0.0
         out.append(NormEstimate(value=float(value), stderr=float(stderr), count=tot,
-                                strategy="mc", seed=sampler.seed, p=p,
-                                truncation_tail=tail))
+                                seed=sampler.seed, p=p, truncation_tail=tail))
     return out
 
 
@@ -506,53 +498,3 @@ def weighted_lp_norm(f: Callable[[np.ndarray], np.ndarray], ball: BallSpec,
         return np.asarray(f(x))[None, :]
 
     return weighted_norm_batch(eval_one, ball, [p], sampler)[0]
-
-
-def _lattice_norm_batch(evaluator, ball: BallSpec, ps, sampler: Sampler) -> list[NormEstimate]:
-    """Fixed-spacing grid sum over the truncated ball; practical only in
-    low dimension or for small radii."""
-    d = ball.dim
-    half = ball.trunc * ball.radius
-    n_axis = max(3, int(round(sampler.budget ** (1.0 / d))))
-    spacing = 2.0 * half / n_axis
-    axes = [np.asarray(ball.center)[i] - half + spacing * (np.arange(n_axis) + 0.5)
-            for i in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    x = np.stack([m.ravel() for m in mesh], axis=-1)
-    r = np.linalg.norm(x - np.asarray(ball.center), axis=-1)
-    x = x[r <= half]
-    w = ball.weight(x)
-    sums = None
-    maxes = None
-    nser = None
-    for start in range(0, x.shape[0], sampler.chunk):
-        xb = x[start:start + sampler.chunk]
-        vals = np.abs(np.concatenate(_row_blocks(evaluator(xb))))
-        if sums is None:
-            nser = vals.shape[0]
-            if len(ps) != nser:
-                raise ValueError("one exponent per series required")
-            sums = np.zeros(nser)
-            maxes = np.zeros(nser)
-        if not np.all(np.isfinite(vals)):
-            bad = np.argwhere(~np.isfinite(vals))
-            raise PoisonedEstimateError(xb[bad[0][1]], int(bad[0][0]))
-        wb = w[start:start + sampler.chunk]
-        for i, p in enumerate(ps):
-            if np.isfinite(p):
-                sums[i] += float((vals[i] ** p * wb).sum())
-        maxes = np.maximum(maxes, vals.max(axis=1))
-    cell = spacing ** d
-    out = []
-    for i, p in enumerate(ps):
-        if not np.isfinite(p):
-            out.append(NormEstimate(value=float(maxes[i]), stderr=None,
-                                    count=x.shape[0], strategy="lattice",
-                                    seed=sampler.seed, p=p, spacing=spacing,
-                                    approximate=True))
-        else:
-            out.append(NormEstimate(value=float((sums[i] * cell) ** (1.0 / p)),
-                                    stderr=None, count=x.shape[0],
-                                    strategy="lattice", seed=sampler.seed, p=p,
-                                    spacing=spacing))
-    return out

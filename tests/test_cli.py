@@ -113,9 +113,11 @@ def test_example_subcommand(capsys):
     ["--kind", "indicator", "--N", "16", "--center", "inf,0,0,0"],
     ["--kind", "strip", "--K", "4", "--center", "0,-inf,0,0"],
     ["--kind", "parabola-2d", "--N", "16", "--center", "0,nan"],
+    ["--kind", "indicator", "--N", "16", "--budget", "1024", "--seed", "-1"],
 ], ids=["budget=10", "N=0", "strip-K=3", "strip-K=0", "center=1,a",
         "indicator-2d-center", "parabola-4d-center", "flat-line-nan-center",
-        "indicator-inf-center", "strip-minus-inf-center", "parabola-nan-center"])
+        "indicator-inf-center", "strip-minus-inf-center", "parabola-nan-center",
+        "seed=-1"])
 def test_example_bad_input_is_a_config_error(capsys, argv):
     # every case fails before any sampling
     rc = main(["example", *argv])
@@ -318,9 +320,12 @@ def test_numeric_poisoning_exit(tmp_path, monkeypatch):
     ({"kind": "curve-bilinear", "N": [16], "I1": [0, 0.3]}, None),
     ({"kind": "curve-bilinear", "N": [16], "I1": [0, 0.25], "I2": [0.2, 0.5]}, None),
     ({"kind": "strip", "K": 4.5}, None),
+    ({"kind": "indicator", "N": [16]}, {"strategy": "lattice", "budget": 2048}),
+    ({"kind": "indicator", "N": [16]}, {"seed": -1, "budget": 2048}),
 ], ids=["N=0", "N=-4", "p=0.5", "strip-K=3", "strip-K=0", "nu=0.9", "budget=256",
         "strategy=rqmc", "proposal=defensive", "chunk=0", "chunk=-4", "atomic-nan-point",
-        "curve-I1-off-grid", "curve-too-close", "strip-K=4.5"])
+        "curve-I1-off-grid", "curve-too-close", "strip-K=4.5", "strategy=lattice",
+        "seed=-1"])
 def test_bad_value_rejected_at_load(tmp_path, capsys, scenario, sampler):
     cfg_path = tmp_path / "run.json"
     outputs = {"report": str(tmp_path / "report.json"), "csv": str(tmp_path / "rows.csv")}
@@ -430,3 +435,14 @@ def test_golden_config_rows(tmp_path):
                 assert a == b, (row_want[:2], col)
                 continue
             assert abs(x - y) <= 1e-12 * abs(y), (row_want[:2], col, a, b)
+
+
+def test_readme_config_loads(tmp_path):
+    # the README's measurement config is a refactor oracle, so it must stay
+    # a config that the CLI accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S)
+    assert block is not None
+    cfg_path = tmp_path / "readme.json"
+    cfg_path.write_text(block.group(1))
+    load_config(str(cfg_path))

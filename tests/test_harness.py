@@ -19,7 +19,7 @@ from declab.harness import (FLAT_LINE_COEFFS, SEPARABLE_COEFFS,
                             measure_linear, measure_square_function,
                             measure_trivial, measurement_ball,
                             parabola_reference, predicted_exponent, run_cell,
-                            scaling_study, scenario)
+                            scenario)
 from declab.norms import Sampler, _MixtureProposal
 
 SURF = quad_surface(SEPARABLE_COEFFS)
@@ -330,29 +330,23 @@ def test_fit_slope_recovers_synthetic():
     assert lo < truth < hi or abs(fit.slope - truth) < 0.03
 
 
-def test_scaling_study_slopes_and_rows():
-    study = scaling_study("flat-line", [16, 64, 256], [6.0],
-                          small_sampler(budget=4096))
-    assert ("flat-line", 6.0) in study.slopes
-    assert len(study.rows()) == 3
-    short = scaling_study("flat-line", [16, 64], [6.0],
-                          small_sampler(budget=4096))
-    assert not short.slopes
-    assert all("slope_warning" in r.meta for r in short.reports)
-
-
 def test_emit_plotdata_series_and_skips():
-    study = scaling_study("flat-line", [16, 64, 256], [6.0],
-                          small_sampler(budget=4096))
-    data = emit_plotdata(study.reports)
+    reports = [run_cell(ScenarioSpec(kind="flat-line", n_scale=n, p=6.0),
+                        small_sampler(budget=4096)) for n in (16.0, 64.0, 256.0)]
+    data = emit_plotdata(reports)
     assert len(data["series"]) == 1
     entry = data["series"][0]
     assert len(entry["points"]) == 3
     assert "slope" in entry
     assert entry["ratio"] == "ratio_l2"
 
+    # two scales give points but no fit
+    short = emit_plotdata(reports[:2])["series"]
+    assert len(short) == 1 and len(short[0]["points"]) == 2
+    assert "slope" not in short[0]
+
     # flat-line is fitted on ratio_l2, so that is the ratio whose loss skips
-    bad = study.reports[0]
+    bad = reports[0]
     bad.ratio_l2 = float("inf")
     data2 = emit_plotdata([bad])
     assert data2["notes"] and not data2["series"]

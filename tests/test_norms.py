@@ -211,19 +211,16 @@ def test_sup_norm_flagged_approximate():
     assert est.stderr is None
 
 
-def test_lattice_strategy_constant():
-    # plateau shape: the strict weight's core is narrower than any feasible
-    # grid spacing, which is exactly why the lattice strategy is reserved
-    # for smooth-weight low-dimensional reductions
-    ball = BallSpec.at_origin(2, 2.0, shape="plateau")
-    est = weighted_lp_norm(lambda X: np.ones(X.shape[0]), ball, 2.0,
-                           Sampler(budget=40000, seed=0, strategy="lattice"))
-    assert est.strategy == "lattice"
-    assert est.spacing is not None
-    assert est.value == pytest.approx(weight_mass(ball) ** 0.5, rel=2e-3)
+@pytest.mark.parametrize("kw, match", [
+    ({"strategy": "lattice"}, "strategy must be 'mc', got 'lattice'"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+], ids=["strategy=lattice", "seed=-1"])
+def test_sampler_error_names_the_value(kw, match):
+    with pytest.raises(ValueError, match=match):
+        Sampler(**kw)
 
 
-@pytest.mark.parametrize("strategy", ["mc", "lattice"])
+@pytest.mark.parametrize("strategy", ["mc"])
 @pytest.mark.parametrize("ps", [[2.0, 2.0], [2.0, 2.0, 2.0, 2.0]], ids=["two", "four"])
 def test_exponent_count_must_match_series(strategy, ps):
     # three series: two exponents would drop one, four would index past them
