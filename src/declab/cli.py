@@ -491,15 +491,22 @@ def cmd_smoke(args) -> int:
     check(f"unit amplitude at zero frequency ({val.real:.12f})",
           abs(val - 1.0) < 1e-12)
 
-    # oscillatory-kernel throughput (informational)
-    ev = extension_evaluator(surf, AmplitudeField.constant(4), 256.0)
+    # kernel throughput (informational): node-samples of the quadrature on a
+    # profiled field, samples of the closed form on a unit one
     x = rng.uniform(-64, 64, size=(512, 4))
-    ev.cell_values(x[:8])            # warm caches
-    done = ev.node_samples
-    t1 = time.perf_counter()
-    ev.cell_values(x)
-    rate = (ev.node_samples - done) / max(time.perf_counter() - t1, 1e-9)
-    print(f"[info] oscillatory kernel throughput ~ {rate/1e6:.0f}M node-samples/s")
+
+    def timed(field):
+        ev = extension_evaluator(surf, field, 256.0)
+        ev.cell_values(x[:8])            # warm caches
+        done = ev.node_samples
+        t1 = time.perf_counter()
+        ev.cell_values(x)
+        return ev.node_samples - done, max(time.perf_counter() - t1, 1e-9)
+
+    work, seconds = timed(AmplitudeField.separable(4, lambda t: 1.0 + t, lambda s: 2.0 - s))
+    print(f"[info] oscillatory kernel throughput ~ {work / seconds / 1e6:.0f}M node-samples/s")
+    _, seconds = timed(AmplitudeField.constant(4))
+    print(f"[info] closed-form chirp throughput ~ {x.shape[0] / seconds / 1e3:.0f}k samples/s")
 
     print(f"smoke finished in {time.time() - t0:.1f}s")
     return EXIT_OK if not failures else 1

@@ -3,7 +3,8 @@
 A field is either atomic (point masses) or continuous (an amplitude sampled
 by per-cell tensor Gauss-Legendre quadrature).  Extension values
 E g(x) = int g(t,s) e(x . psi(t,s)) dt ds, with e(z) = exp(2 pi i z), are
-computed by direct oscillatory summation; node counts scale with the phase
+computed by direct oscillatory summation, or in closed form where a 1-D
+factor has a unit profile (see below); node counts scale with the phase
 variation across a cell at the largest frequency requested, which keeps the
 quadrature converged for every sample the norm estimators draw.
 
@@ -18,15 +19,30 @@ splits it into r < n Taylor terms, r the smallest count with theta^r/r! <=
 at the cap); other sample blocks take the direct n x n table.  Its per-cell
 e(alpha u) rows step up each column of cells by a cap shift.  Per sample
 that is (2 + columns + distinct Vs tables) n + cells e(.) calls, n^2 more
-on the direct table, instead of cells n^2.  On a quadratic surface the
-separable engine's 1-D interval factors come from a cap-shift recurrence
-(`_shift_sums`): interval r+1's e(.) node table is interval r's times one
-step table, so a factor over `rows` intervals of n nodes takes 2n + rows e(.)
-calls per sample instead of rows n; over 128 intervals it stays within
-1.6e-12 of a long-double reference (direct sums: 4.5e-13).  The planar
-parabola's cap sums go through the same factor (`AxisFactor`).  Atoms whose
-surface points form an exact arithmetic progression (tested with equality,
-no tolerance) have the phase c0 + k c1, and a two-level split
+on the direct table, instead of cells n^2.
+
+On a quadratic surface the separable engine's 1-D interval factors
+(`AxisFactor`, which also sums the planar parabola's caps) are
+int g(t) e(lin t + quad t^2) dt over each row's interval.  With a unit
+profile (g = 1: the indicator, random-phase and bilinear-pair cells and
+the parabola's caps) they are exact: `_chirp_sums` completes the square
+and takes each interval from the Faddeeva function on the ray
+arg z = pi/4 (`faddeeva.w_ray`) at its two ends, as T(a) - T(b) or
+T(b) - T(a) beside the stationary point and 2 C - T(a) - T(b) across it.
+Rows share their edges, so per sample that is rows + 1 W values and one
+e(.) per row, whatever the frequency; intervals whose end terms would
+cancel (s h < 0.1 and min |phi'| h < 0.01) take a fixed 5-node Gauss rule,
+and quad = 0 a sinc.  Against mpmath the closed form stays within
+2e-13 h + 4 eps (|lin| + |quad|) h per interval of side h, for every
+sample, at any distance from the origin.  A profile g instead goes by
+quadrature and a cap-shift recurrence (`_shift_sums`): interval r+1's e(.)
+node table is interval r's times one step table, so a factor over `rows`
+intervals of n nodes takes 2n + rows e(.) calls per sample instead of
+rows n; over 128 intervals it stays within 1.6e-12 of a long-double
+reference (direct sums: 4.5e-13).
+
+Atoms whose surface points form an exact arithmetic progression (tested
+with equality, no tolerance) have the phase c0 + k c1, and a two-level split
 e(c0 + k c1) = e(j b c1) e(c0 + i c1), k = j b + i, b = ceil(sqrt(n)), takes
 b + ceil(n/b) e(.) calls per sample instead of n, with no recurrence.
 Every engine evaluates e(.) with one table-driven kernel, `_cis`.  Node sums take
@@ -35,10 +51,10 @@ block of samples sized by QUAD_BLOCK_ELEMENTS, so temporaries stay bounded
 whatever the node count.
 
 Node counts follow from the resolution radius x_max, the bound on |x|_inf
-of the samples, except on the 1-D factors (`AxisFactor`: the separable
-engine's factors, the parabola's caps and the curve lines of
-`LineEvaluator`), which resolve each sample for its own |x|_inf on a node
-ladder: level l holds
+of the samples, except on the quadrature 1-D factors (`AxisFactor` with a
+profile or a curve's phase table: the separable engine's profiled factors,
+the curve lines of `LineEvaluator`), which resolve each sample for its own
+|x|_inf on a node ladder: level l holds
 nodes_for_cycles(x_max 2^-l bound side) nodes, levels go down while each
 keeps at most 3/4 of the previous one's nodes (210, 113, 65, 41, 29 at
 N = 256), and a sample takes the deepest level whose radius x_max 2^-l
@@ -56,6 +72,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .faddeeva import w_ray
 from .geometry import QuadSurface, SurfaceEvaluator
 from .grid import CapPartition, DyadicSquare, square_at
 
@@ -81,6 +98,12 @@ NODE_BLOCK = 256
 # and its (cells, n) tables stay bounded whatever the node count n.  The
 # separable recurrence's P and Z tables share this budget.
 QUAD_BLOCK_ELEMENTS = 2 ** 17
+# A unit-profile interval of side h, where the chirp's endpoint terms cancel
+# (s h < _CHIRP_SH and min |phi'| h < _CHIRP_DH, see `_chirp_sums`), is summed
+# on a fixed rule of _CHIRP_NODES Gauss nodes instead.
+_CHIRP_SH = 0.1
+_CHIRP_DH = 0.01
+_CHIRP_NODES = 5
 # Largest theta = 2 pi |2B| h^2 at which the quadratic engine splits the
 # cross term e(2B uv) by Taylor terms; beyond it the terms' cancellation
 # costs digits and the engine keeps the direct n x n table.
@@ -206,6 +229,69 @@ def _shift_sums(rows: np.ndarray, h: float, u: np.ndarray, amps: np.ndarray,
     return out
 
 
+def _chirp_sums(edges: np.ndarray, h: float, lin: np.ndarray,
+                quad: np.ndarray) -> np.ndarray:
+    """int e(lin t + quad t^2) dt over the intervals [a, a + h] between
+    consecutive edges (edges[k + 1] = edges[k] + h) in closed form:
+    (len(edges) - 1, B) for the (B,) coefficients lin and quad.
+
+    Completing the square, with phi'(t) = lin + 2 quad t, s = sqrt(2 pi
+    |quad|) and T(t) = K e(phi(t)) W(|phi'(t)| sqrt(pi / (2 |quad|))),
+    K = (sqrt(pi) / (2 s)) e^{+-i pi/4} and W = `w_ray` (conjugated, and the
+    sign of pi/4 too, when quad < 0), an interval is T(a) - T(b) on the
+    right of the stationary point t0 = -lin / (2 quad), T(b) - T(a) on its
+    left and 2 C - T(a) - T(b) across it, C = K e(phi(t0)).  Each term goes
+    relative to the corner e(phi(a)): e(phi(b)) = e(phi(a)) D with
+    D = e(phi'(a) h + quad h^2) and e(phi(t0)) = e(phi(a)) e(-phi'(a)^2 /
+    (4 quad)), whose phases stay small, so no large phase is rounded into a
+    term larger than the result; the corners are the running product of
+    the D's from the first one.  Per sample that is one W per edge and one
+    e(.) per interval, plus one per interval across t0.
+
+    Branches: quad = 0 gives e(lin (a + h/2)) h sinc(lin h) (h at lin = 0).
+    Where s h < _CHIRP_SH and min |phi'| h < _CHIRP_DH over the interval
+    (phi' changes sign across t0), |T| exceeds 16 h and the terms cancel;
+    the phase then varies by less than 0.014 cycles over the interval, and
+    _CHIRP_NODES Gauss nodes sum it to within 1e-18 h."""
+    zero = quad == 0.0
+    q = np.where(zero, 1.0, quad)               # quad = 0 is overwritten below
+    aq = np.abs(q)
+    d = np.multiply.outer(edges, 2.0 * q)
+    d += lin                                    # phi' at the edges
+    ad = np.abs(d)
+    W = w_ray(ad * (np.sqrt(np.pi / 2) / np.sqrt(aq)))
+    W.imag *= np.sign(q)
+    right = (d >= 0) == (q > 0)                 # edge at or right of t0
+    np.negative(W, out=W, where=~right)
+    da = d[:-1]
+    out = _cis(da * h + q * (h * h))            # D
+    corner = np.empty_like(out)
+    corner[0] = _cis(edges[0] * lin + edges[0] ** 2 * q)
+    corner[1:] = out[:-1]
+    np.cumprod(corner, axis=0, out=corner)
+    out *= W[1:]
+    np.subtract(W[:-1], out, out=out)
+    across = ~right[:-1] & right[1:]
+    ri, ci = np.nonzero(across)
+    out[ri, ci] += 2.0 * _cis(-da[ri, ci] ** 2 / (4.0 * q[ci]))
+    out *= np.where(q > 0, np.exp(0.25j * np.pi), np.exp(-0.25j * np.pi)) / np.sqrt(8.0 * aq)
+    small = np.flatnonzero((np.sqrt(2 * np.pi * aq) * h < _CHIRP_SH) & ~zero)
+    if small.size:
+        near = np.minimum(ad[:-1, small], ad[1:, small]) * h < _CHIRP_DH
+        near |= across[:, small]
+        ri, cj = np.nonzero(near)
+        ci = small[cj]
+        xg, wg = _gauss(_CHIRP_NODES)
+        u = h / 2 * (xg + 1.0)
+        out[ri, ci] = (h / 2 * wg) @ _cis(np.multiply.outer(u, da[ri, ci])
+                                          + np.multiply.outer(u * u, q[ci]))
+    out *= corner
+    if zero.any():
+        lz = lin[zero]
+        out[:, zero] = _cis(np.multiply.outer(edges[:-1] + h / 2, lz)) * (h * np.sinc(lz * h))
+    return out
+
+
 def _taylor_rank(theta: float) -> int:
     """The smallest term count r with theta^r / r! <= 2^-60: the rank of the
     Taylor split of e(2B uv) when |2 pi 2B uv| <= theta.  Only for moderate
@@ -291,15 +377,21 @@ class AxisFactor:
     (None: 1).  With quad None the phase is the table part(nodes, X), summed
     directly; otherwise it is lin t + quad t^2 with the coefficient
     lin = X[:, lin] and quad = X[:, -len(quad):] @ quad (the trailing
-    coordinates' coefficients in t^2), summed by the cap shift of
-    `_shift_sums`.  The phase varies at most bound |x|_inf per unit t.
+    coordinates' coefficients in t^2).  The phase varies at most
+    bound |x|_inf per unit t.
 
-    Node ladder: level l resolves the radius x_max 2^-l on
-    nodes[l] = nodes_for_cycles(x_max 2^-l bound side, node_factor) Gauss
-    nodes, and levels are added while the next keeps at most 3/4 of the
-    nodes.  A sample is summed on the deepest level whose radius covers its
-    |x|_inf, so on at least as many nodes as its own frequency needs;
-    samples beyond x_max take level 0."""
+    A unit profile (g None) with quad set is exact: the closed form of
+    `_chirp_sums` over every row from the first to the last (gaps are
+    summed and dropped), one W per edge and one e(.) per row and sample, in
+    blocks of _CIS_BLOCK // edges samples, whatever the frequency.  The
+    other factors go by quadrature, the cap shift of `_shift_sums` for a
+    profile with quad set, on a node ladder: level l resolves the radius
+    x_max 2^-l on nodes[l] = nodes_for_cycles(x_max 2^-l bound side,
+    node_factor) Gauss nodes, and levels are added while the next keeps at
+    most 3/4 of the nodes.  A sample is summed on the deepest level whose
+    radius covers its |x|_inf, so on at least as many nodes as its own
+    frequency needs; samples beyond x_max take level 0.  `nodes` is the
+    ladder of every factor; the closed form builds no Gauss table."""
 
     def __init__(self, rows: np.ndarray, side: float, x_max: float, bound: float,
                  node_factor: int, g: Callable | None, part: Callable | None,
@@ -313,8 +405,15 @@ class AxisFactor:
         self.nodes = np.array(nodes)
         # -radius by level, ascending, for the placement search
         self._neg_radii = -x_max * 2.0 ** -np.arange(len(nodes))
-        amplitude = g if g is not None else _ones
         self._levels = []           # (local nodes u, nodes, weighted amplitudes)
+        self._closed = g is None and quad is not None
+        if self._closed:
+            # every row from the first to the last, gaps included, is summed
+            # and the rows' own are kept
+            self._edges = np.arange(rows[0], rows[-1] + 2) * side
+            self._kept = None if len(rows) + 1 == len(self._edges) else rows - rows[0]
+            return
+        amplitude = g if g is not None else _ones
         for n in nodes:
             xg, wg = _gauss(n)
             u = side / 2 * (xg + 1.0)
@@ -338,16 +437,32 @@ class AxisFactor:
             return _interval_sums(t, amp, self._part, coef)
         return _shift_sums(self.rows, self._side, u, amp, coef[:, 0], coef[:, 1])
 
+    def _closed_sums(self, lin: np.ndarray, quad: np.ndarray) -> np.ndarray:
+        """The closed form's (rows, B) sums, one block of _CIS_BLOCK // edges
+        samples at a time."""
+        out = np.empty((len(self.rows), lin.shape[0]), dtype=complex)
+        step = max(1, _CIS_BLOCK // len(self._edges))
+        for lo in range(0, lin.shape[0], step):
+            sl = slice(lo, lo + step)
+            part = _chirp_sums(self._edges, self._side, lin[sl], quad[sl])
+            out[:, sl] = part if self._kept is None else part[self._kept]
+        return out
+
     def sums(self, X: np.ndarray) -> tuple[np.ndarray, int]:
-        """(the (rows, B) sums, the node-samples summed for them).  Each
-        level sums its own samples, scattered into the result; the cap
-        shift's corner factors go on once, over the whole batch."""
-        level = self.level_of(X)
-        count = np.bincount(level, minlength=len(self.nodes))
-        work = len(self.rows) * int(count @ self.nodes)
+        """(the (rows, B) sums, the work done for them).  The closed form
+        counts its endpoint evaluations, edges per sample (rows + 1 on
+        contiguous rows, gaps included otherwise); the ladder counts the
+        node-samples summed.  Each ladder level sums its own samples,
+        scattered into the result; the cap shift's corner factors go on
+        once, over the whole batch."""
         coef = X
         if self._quad is not None:
             coef = np.column_stack([X[:, self._lin], X[:, -len(self._quad):] @ self._quad])
+        if self._closed:
+            return self._closed_sums(coef[:, 0], coef[:, 1]), len(self._edges) * X.shape[0]
+        level = self.level_of(X)
+        count = np.bincount(level, minlength=len(self.nodes))
+        work = len(self.rows) * int(count @ self.nodes)
         present = np.flatnonzero(count)
         if len(present) <= 1:
             out = self._level_sums(int(present[0]) if len(present) else 0, coef)
@@ -567,7 +682,9 @@ class ExtensionEvaluator:
     quadrature node counts grow linearly with it so that the oscillatory
     integrals stay resolved (on the separable engine, with each sample's own
     sup-norm: see `AxisFactor`).  node_samples counts the node-samples that
-    cell_values has summed.
+    cell_values has summed; a 1-D factor in closed form (a unit profile on
+    the separable engine) adds its endpoint evaluations instead, rows + 1
+    per sample on contiguous rows, which no node count depends on.
     """
 
     def __init__(self, surface: SurfaceEvaluator, amp_field: AmplitudeField,
@@ -603,7 +720,8 @@ class ExtensionEvaluator:
     # -- cell machinery -----------------------------------------------------
 
     def _build_separable(self, split):
-        # The 1-D factors of a QuadSurface (a2 = a5 = 0) go by the cap-shift
+        # The 1-D factors of a QuadSurface (a2 = a5 = 0) are in closed form
+        # (_chirp_sums) for a unit profile, else go by the cap-shift
         # recurrence of _shift_sums; other splits (curve lifts) are summed
         # directly from the split's phase tables.
         f = self.field
@@ -803,7 +921,8 @@ class ExtensionEvaluator:
         (atomic: point masses): n x (t intervals + s intervals) on the
         separable engine, with n its level-0 node count, the sum of the
         cells' n^2 otherwise.  The separable engine sums fewer for samples
-        well inside x_max; `node_samples` counts what was summed."""
+        well inside x_max, and its closed-form factors none; `node_samples`
+        counts what was done."""
         return self._nodes_per_sample
 
     @property

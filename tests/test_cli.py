@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from declab import cli
 from declab.cli import (EXIT_OK, EXIT_SCHEMA, ConfigError, load_config, main)
 
 
@@ -160,6 +161,26 @@ def test_smoke_subcommand_fast(capsys):
     assert time.time() - t0 < 10.0
     assert re.search(r"^\[info\] oscillatory kernel throughput ~ \d+M node-samples/s$",
                      capsys.readouterr().out, re.MULTILINE)
+
+
+def test_smoke_reports_each_kernel_in_its_own_unit(capsys, monkeypatch):
+    # the node-samples line runs on a profiled field (quadrature); the
+    # closed form of a unit field counts samples, not node-samples
+    fields_seen = []
+    real = cli.extension_evaluator
+
+    def spy(surface, field, x_max):
+        fields_seen.append(field)
+        return real(surface, field, x_max)
+
+    monkeypatch.setattr(cli, "extension_evaluator", spy)
+    assert main(["smoke"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert re.search(r"^\[info\] closed-form chirp throughput ~ \d+k samples/s$",
+                     out, re.MULTILINE)
+    profiled, unit = fields_seen[-2:]
+    assert profiled.g1 is not None and profiled.g2 is not None
+    assert unit.g1 is None and unit.g2 is None
 
 
 def test_slopes_and_plotdata_outputs(tmp_path):

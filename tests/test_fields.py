@@ -3,12 +3,13 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 
 from declab import fields as fields_module
-from declab.fields import (_CROSS_THETA_MAX, NODE_BLOCK, QUAD_BLOCK_ELEMENTS,
+from declab.fields import (_CIS_BLOCK, _CROSS_THETA_MAX, NODE_BLOCK, QUAD_BLOCK_ELEMENTS,
                            AmplitudeField, AxisFactor, LineEvaluator, _cis, _cross_split,
                            _gauss, _interval_sums, _taylor_rank,
                            extension_evaluator, extension_value,
@@ -122,8 +123,9 @@ def test_refine_identity_at_zero():
 
 def test_refine_reduces_underresolved_error():
     # evaluate far past the advertised frequency bound so the base rule is
-    # under-resolved; refinement must cut the error at least in half
-    f = AmplitudeField.constant(1)
+    # under-resolved; refinement must cut the error at least in half (on
+    # the tensor engine: the separable engine's unit profile is exact)
+    f = generic_copy(AmplitudeField.constant(1))
     x = np.array([[0.0, 0.0, 23.0, 0.0]])
     want = fresnel_1d(0.0, 23.0)
     base = extension_evaluator(SQUARES, f, 1.0).total(x)[0]
@@ -619,8 +621,9 @@ MOMENT = moment_curve()
 
 
 def parabola_factor(x_max, side, node_factor):
-    """(factor, per-unit phase bound, sample dimension) of four parabola caps."""
-    return (AxisFactor(np.arange(4), side, x_max, 3.0, node_factor, None, None, 0, (1.0,)),
+    """(factor, per-unit phase bound, sample dimension) of four parabola caps,
+    with an amplitude (a unit one takes the closed form, not the ladder)."""
+    return (AxisFactor(np.arange(4), side, x_max, 3.0, node_factor, g1, None, 0, (1.0,)),
             3.0, 2)
 
 
@@ -718,7 +721,7 @@ def test_node_samples_counts_what_each_engine_sums():
     x_max = measurement_ball(4, 64.0).quantile_radius(X_MAX_TAIL)
     x = np.random.default_rng(11).uniform(-x_max, x_max, size=(40, 4))
     x[:20] /= 8
-    ev = extension_evaluator(SQUARES, AmplitudeField.constant(3), x_max)
+    ev = extension_evaluator(SQUARES, AmplitudeField.separable(3, g1, g2), x_max)
     ev.cell_values(x)
     ev.total(x[:5])
     level = ev._factors[0].level_of(x)
@@ -965,3 +968,168 @@ def test_progression_split_memory():
         tracemalloc.stop()
     assert vals.shape == (n, batch)
     assert peak < bound
+
+
+# -- the closed form of the unit-profile factors ------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def chirp_mp(lin, quad, a, b):
+    """int_a^b e(lin t + quad t^2) dt to 30 digits, for the doubles given, on
+    [a, b] within [0, 1]: by erf after completing the square, or, where
+    quad t^2 stays below 1e-20 cycles, by the linear form."""
+    lin, quad, a, b = (mp.mpf(float(v)) for v in (lin, quad, a, b))
+    if abs(quad) < mp.mpf(10) ** -20:
+        if lin == 0:
+            return complex(b - a)
+        with mp.workdps(32 + int(mp.log10(abs(lin) + 1))):
+            return complex((mp.expjpi(2 * lin * b) - mp.expjpi(2 * lin * a))
+                           / (2j * mp.pi * lin))
+    with mp.workdps(32 + int(mp.log10(abs(lin) + abs(quad) + lin * lin / abs(quad) + 1))):
+        t0 = -lin / (2 * quad)
+        k = mp.sqrt(-2j * mp.pi * quad)
+        return complex(mp.expjpi(-lin * lin / (2 * quad)) * mp.sqrt(mp.pi) / (2 * k)
+                       * (mp.erf(k * (b - t0)) - mp.erf(k * (a - t0))))
+
+
+def chirp_bound(lin, quad, h):
+    """The accuracy asked of an interval of side h: 2e-13 h, plus the
+    rounding of phases of |lin| + |quad| cycles."""
+    return 2e-13 * h + 4 * EPS * (abs(lin) + abs(quad)) * h
+
+
+SEPARABLE = quad_surface((0.9, 0, -0.3, 0.6, 0, 1.1))
+
+
+@pytest.mark.parametrize("center", [None, (0.6, -0.45, 0.3, 0.8)])
+def test_closed_form_matches_mpmath_on_mixture_draws(center):
+    # 820 draws at each N (4100 in all) of the measurement ball's sampling
+    # proposal, at the origin and off it (the centre in units of N); even
+    # draws check the interval nearest the stationary point, odd ones the
+    # rows in turn.  The t factor takes N = 16, 256, 4096, the s factor
+    # N = 64, 1024.
+    for i, n_scale in enumerate((16, 64, 256, 1024, 4096)):
+        level = int(np.log2(n_scale)) // 2
+        c = None if center is None else n_scale * np.asarray(center)
+        ball = measurement_ball(4, float(n_scale), center=c)
+        x, _ = _MixtureProposal(ball, defensive=True).sample(61 + i, 0, 820)
+        ev = extension_evaluator(SEPARABLE, AmplitudeField.constant(level), _x_max(ball))
+        assert ev._mode == "separable"
+        factor = ev._factors[i % 2]
+        assert factor._closed
+        got = factor.sums(x)[0]
+        lin = x[:, factor._lin]
+        quad = x[:, -2:] @ factor._quad
+        h, rows = factor._side, len(factor.rows)
+        for k in range(x.shape[0]):
+            r = k % rows
+            if k % 2 == 0 and quad[k] != 0:
+                r = int(np.clip(np.floor(-lin[k] / (2 * quad[k]) / h), 0, rows - 1))
+            want = chirp_mp(lin[k], quad[k], r * h, (r + 1) * h)
+            assert abs(got[r, k] - want) <= chirp_bound(lin[k], quad[k], h)
+
+
+def test_closed_form_matches_mpmath_on_its_branches():
+    # stationary points inside an interval, on an edge and just outside it;
+    # quad = 0, +-1e-300 and < 0; s h and min |phi'| h on both sides of the
+    # cancellation thresholds; a large phase
+    h = 1 / 16
+    factor = AxisFactor(np.arange(16), h, 1.0, 3.0, 1, None, None, 0, (1.0,))
+    coef = []
+    for quad in (1e3, -1e3, 37.5, -2.25, 5e4):
+        for t0 in (5.3 * h, 5 * h, 5 * h - 1e-12, 6 * h + 1e-9, 0.0, 1.0, 5 * h + 1e-7 * h):
+            coef.append((-2 * quad * t0, quad))
+    for lin in (0.0, 1e-9, 0.3, 37.0, -1e4):
+        coef.append((lin, 0.0))
+    for quad in (1e-300, -1e-300):
+        for lin in (0.0, 1e-3, 5.0, -700.0):
+            coef.append((lin, quad))
+    # s h = sqrt(2 pi quad) h from 0.016 to about 0.1; phi' h about 0.01
+    for quad in (1e-4, 1e-2, 0.4, 0.1 ** 2 / (2 * np.pi * h * h), 2.6, -0.4):
+        for lin in (0.0, 0.16, 0.1599, 0.1601, -0.16 - 2 * quad * 7 * h, 3.0):
+            coef.append((lin, quad))
+    coef.append((-3.1e4, 1.7e4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = factor.sums(np.array(coef))[0]
+    for k, (lin, quad) in enumerate(coef):
+        for r in range(16):
+            want = chirp_mp(lin, quad, r * h, (r + 1) * h)
+            assert abs(got[r, k] - want) <= chirp_bound(lin, quad, h)
+
+
+def test_unit_profiles_take_the_closed_form_and_others_the_ladder(monkeypatch):
+    x = np.random.default_rng(67).uniform(-40.0, 40.0, size=(9, 4))
+    calls = []
+
+    def count(name):
+        real = getattr(fields_module, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(fields_module, name, wrapped)
+
+    count("_chirp_sums")
+    count("_shift_sums")
+    count("_interval_sums")
+    closed = (AmplitudeField.constant(3), AmplitudeField.random_phase(3, seed=4),
+              AmplitudeField.constant(3, 2.0, support=GAPPED))
+    for f in closed:
+        calls.clear()
+        ev = extension_evaluator(SEPARABLE, f, 40.0)
+        assert ev._mode == "separable"
+        assert all(factor._closed and not factor._levels for factor in ev._factors)
+        vals = ev.cell_values(x)
+        assert set(calls) == {"_chirp_sums"}
+        # the closed form does not depend on the node count
+        assert np.array_equal(extension_evaluator(SEPARABLE, f.refine(3), 40.0).cell_values(x),
+                              vals)
+    calls.clear()
+    parabola = AxisFactor(np.arange(4), 0.25, 40.0, 3.0, 1, None, None, 0, (1.0,))
+    assert parabola._closed
+    parabola(x[:, :2])
+    assert set(calls) == {"_chirp_sums"}
+    for f in (AmplitudeField.separable(3, g1, None), AmplitudeField.separable(3, None, g2)):
+        calls.clear()
+        ev = extension_evaluator(SEPARABLE, f, 40.0)
+        ev.cell_values(x)
+        assert set(calls) == {"_shift_sums", "_chirp_sums"}
+        assert [factor._closed for factor in ev._factors] == [f.g1 is None, f.g2 is None]
+    calls.clear()
+    lift = curve_lift(MOMENT, (0.0, 0.25), (0.75, 1.0))
+    ev = extension_evaluator(lift, AmplitudeField.constant(3, support=[DyadicSquare(3, 0, 6)]),
+                             40.0)
+    ev.cell_values(x)
+    line = LineEvaluator([(0.0, 0.125)], None, MOMENT.phase, 40.0,
+                         MOMENT.phase_derivative_bound())
+    line.total(x)
+    assert set(calls) == {"_interval_sums"}
+    assert not any(factor._closed for factor in ev._factors) and not line._closed
+    empty = extension_evaluator(SEPARABLE, AmplitudeField.constant(3, support=[]), 40.0)
+    assert empty._mode == "tensor"
+
+
+def test_closed_form_counts_edges_and_keeps_its_block_budget():
+    # 64 rows (N = 4096): the (rows, B) result plus the temporaries of one
+    # block of _CIS_BLOCK // 65 samples, whose tables of edges x samples
+    # elements take about 40 complex values per element in all
+    rows, batch = 64, 6000
+    factor = AxisFactor(np.arange(rows), 1 / rows, 1e4, 3.0, 1, None, None, 0, (1.0,))
+    x = np.random.default_rng(71).uniform(-1e4, 1e4, size=(batch, 2))
+    tracemalloc.start()
+    try:
+        vals, work = factor.sums(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (rows, batch)
+    assert work == (rows + 1) * batch
+    assert peak < 16 * rows * batch + 40 * 16 * _CIS_BLOCK
+    # rows with gaps sum every row from the first to the last
+    gapped = AxisFactor(np.array([1, 3, 4, 9]), 1 / 16, 10.0, 3.0, 1, None, None, 0, (1.0,))
+    vals, work = gapped.sums(x[:5])
+    assert work == 10 * 5
+    full = AxisFactor(np.arange(1, 10), 1 / 16, 10.0, 3.0, 1, None, None, 0, (1.0,))
+    assert np.array_equal(vals, full.sums(x[:5])[0][[0, 2, 3, 8]])
