@@ -35,20 +35,17 @@ cancel (s h < 0.1 and min |phi'| h < 0.01) take a fixed 5-node Gauss rule,
 and quad = 0 a sinc.  Against mpmath the closed form stays within
 2e-13 h + 4 eps (|lin| + |quad|) h per interval of side h, for every
 sample, at any distance from the origin.  A profile g instead goes by
-quadrature and a cap-shift recurrence (`_shift_sums`): interval r+1's e(.)
-node table is interval r's times one step table, so a factor over `rows`
-intervals of n nodes takes 2n + rows e(.) calls per sample instead of
-rows n; over 128 intervals it stays within 1.6e-12 of a long-double
-reference (direct sums: 4.5e-13).
+quadrature: the phase tables of `QuadSurface.phase_split()`, summed
+directly on each interval (`_interval_sums`), as on the curve lifts.
 
 Atoms whose surface points form an exact arithmetic progression (tested
 with equality, no tolerance) have the phase c0 + k c1, and a two-level split
 e(c0 + k c1) = e(j b c1) e(c0 + i c1), k = j b + i, b = ceil(sqrt(n)), takes
 b + ceil(n/b) e(.) calls per sample instead of n, with no recurrence.
 Every engine evaluates e(.) with one table-driven kernel, `_cis`.  Node sums take
-NODE_BLOCK nodes at a time, and the quadratic engine and the recurrence a
-block of samples sized by QUAD_BLOCK_ELEMENTS, so temporaries stay bounded
-whatever the node count.
+NODE_BLOCK nodes at a time, and the quadratic engine a block of samples
+sized by QUAD_BLOCK_ELEMENTS, so temporaries stay bounded whatever the node
+count.
 
 Node counts follow from the resolution radius x_max, the bound on |x|_inf
 of the samples, except on the quadrature 1-D factors (`AxisFactor` with a
@@ -95,8 +92,7 @@ _CIS_BLOCK = 16384
 NODE_BLOCK = 256
 # Table elements per sample block of the quadratic engine: a block holds
 # QUAD_BLOCK_ELEMENTS // (n * max(n, cells)) samples, so its n x n e(.) table
-# and its (cells, n) tables stay bounded whatever the node count n.  The
-# separable recurrence's P and Z tables share this budget.
+# and its (cells, n) tables stay bounded whatever the node count n.
 QUAD_BLOCK_ELEMENTS = 2 ** 17
 # A unit-profile interval of side h, where the chirp's endpoint terms cancel
 # (s h < _CHIRP_SH and min |phi'| h < _CHIRP_DH, see `_chirp_sums`), is summed
@@ -186,46 +182,6 @@ def _interval_sums(nodes: np.ndarray, amps: np.ndarray, phase: Callable,
     out = np.empty((nodes.shape[0], X.shape[0]), dtype=complex)
     for k, (tn, amp) in enumerate(zip(nodes, amps)):
         out[k] = _node_sum(amp, lambda blk, tn=tn: phase(tn[blk], X), X.shape[0])
-    return out
-
-
-def _shift_sums(rows: np.ndarray, h: float, u: np.ndarray, amps: np.ndarray,
-                lin: np.ndarray, quad: np.ndarray) -> np.ndarray:
-    """1-D extension sums of the phase lin t + quad t^2 over the intervals
-    [r h, (r+1) h], r in rows (sorted integers), without their corner factors
-    e(lin rh + quad (rh)^2): (len(rows), B).  u holds the local Gauss nodes
-    (offsets from an interval's start), amps[k] interval k's weighted
-    amplitudes, lin and quad the (B,) coefficients.
-
-    Cap shift: lin (rh + u) + quad (rh + u)^2 = [lin rh + quad (rh)^2]
-    + (lin + 2 quad rh) u + quad u^2, so the node part P_r = e((lin + 2 quad
-    rh) u + quad u^2) obeys P_{r+1} = P_r Z with Z = e(2 quad h u).  P starts
-    exactly at the first row and steps through every row up to the last, gaps
-    included; per sample that is 2n e(.) calls, and rows more for the
-    corners, instead of rows n.  Nodes go NODE_BLOCK at a time and samples
-    in blocks that keep P and Z within QUAD_BLOCK_ELEMENTS elements
-    together; one e(.) pass makes both."""
-    batch = lin.shape[0]
-    out = np.zeros((len(rows), batch), dtype=complex)
-    r0 = int(rows[0])
-    for lo in range(0, u.shape[0], NODE_BLOCK):
-        ub = u[lo:lo + NODE_BLOCK]
-        step = max(1, QUAD_BLOCK_ELEMENTS // (2 * ub.shape[0]))
-        for b0 in range(0, batch, step):
-            sl = slice(b0, b0 + step)
-            q = quad[sl]
-            ph = np.empty((2, ub.shape[0], q.shape[0]))
-            np.multiply.outer(ub, lin[sl] + 2 * r0 * h * q, out=ph[0])
-            ph[0] += np.multiply.outer(ub * ub, q)
-            np.multiply.outer(2 * h * ub, q, out=ph[1])
-            P, Z = _cis(ph)
-            del ph
-            r = r0
-            for k, row in enumerate(rows):
-                for _ in range(row - r):
-                    P *= Z
-                r = row
-                out[k, sl] += amps[k, lo:lo + NODE_BLOCK] @ P
     return out
 
 
@@ -374,18 +330,16 @@ def _ones(t):
 class AxisFactor:
     """X -> (len(rows), B): the 1-D extension sums over the intervals
     [r side, (r+1) side], r in rows (sorted integers), with amplitude g
-    (None: 1).  With quad None the phase is the table part(nodes, X), summed
-    directly; otherwise it is lin t + quad t^2 with the coefficient
-    lin = X[:, lin] and quad = X[:, -len(quad):] @ quad (the trailing
-    coordinates' coefficients in t^2).  The phase varies at most
-    bound |x|_inf per unit t.
+    (None: 1).  The phase varies at most bound |x|_inf per unit t.
 
-    A unit profile (g None) with quad set is exact: the closed form of
-    `_chirp_sums` over every row from the first to the last (gaps are
-    summed and dropped), one W per edge and one e(.) per row and sample, in
-    blocks of _CIS_BLOCK // edges samples, whatever the frequency.  The
-    other factors go by quadrature, the cap shift of `_shift_sums` for a
-    profile with quad set, on a node ladder: level l resolves the radius
+    A unit profile (g None) with quad set is exact: the phase is
+    lin t + quad t^2 with the coefficient lin = X[:, lin] and
+    quad = X[:, -len(quad):] @ quad (the trailing coordinates' coefficients
+    in t^2), and the closed form of `_chirp_sums` sums every row from the
+    first to the last (gaps are summed and dropped), one W per edge and one
+    e(.) per row and sample, in blocks of _CIS_BLOCK // edges samples,
+    whatever the frequency.  Every other factor sums its phase table
+    part(nodes, X) directly on a node ladder: level l resolves the radius
     x_max 2^-l on nodes[l] = nodes_for_cycles(x_max 2^-l bound side,
     node_factor) Gauss nodes, and levels are added while the next keeps at
     most 3/4 of the nodes.  A sample is summed on the deepest level whose
@@ -405,7 +359,7 @@ class AxisFactor:
         self.nodes = np.array(nodes)
         # -radius by level, ascending, for the placement search
         self._neg_radii = -x_max * 2.0 ** -np.arange(len(nodes))
-        self._levels = []           # (local nodes u, nodes, weighted amplitudes)
+        self._levels = []           # (nodes, weighted amplitudes) by level
         self._closed = g is None and quad is not None
         if self._closed:
             # every row from the first to the last, gaps included, is summed
@@ -416,10 +370,9 @@ class AxisFactor:
         amplitude = g if g is not None else _ones
         for n in nodes:
             xg, wg = _gauss(n)
-            u = side / 2 * (xg + 1.0)
-            t = np.add.outer(rows * side, u)
+            t = np.add.outer(rows * side, side / 2 * (xg + 1.0))
             amp = np.asarray(amplitude(t), dtype=complex) * (side / 2 * wg)
-            self._levels.append((u, t, amp))
+            self._levels.append((t, amp))
 
     def level_of(self, X: np.ndarray) -> np.ndarray:
         """The ladder level of each sample: the deepest whose radius covers
@@ -428,21 +381,14 @@ class AxisFactor:
         covered = np.searchsorted(self._neg_radii, -reach, side="right")
         return np.maximum(covered - 1, 0)
 
-    def _level_sums(self, level: int, coef: np.ndarray) -> np.ndarray:
-        """Level `level`'s sums at its samples' coefficients: the samples
-        themselves for a phase table, the (lin, quad) columns for the cap
-        shift, whose corner factors `sums` applies."""
-        u, t, amp = self._levels[level]
-        if self._quad is None:
-            return _interval_sums(t, amp, self._part, coef)
-        return _shift_sums(self.rows, self._side, u, amp, coef[:, 0], coef[:, 1])
-
-    def _closed_sums(self, lin: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    def _closed_sums(self, X: np.ndarray) -> np.ndarray:
         """The closed form's (rows, B) sums, one block of _CIS_BLOCK // edges
         samples at a time."""
-        out = np.empty((len(self.rows), lin.shape[0]), dtype=complex)
+        lin = X[:, self._lin]
+        quad = X[:, -len(self._quad):] @ self._quad
+        out = np.empty((len(self.rows), X.shape[0]), dtype=complex)
         step = max(1, _CIS_BLOCK // len(self._edges))
-        for lo in range(0, lin.shape[0], step):
+        for lo in range(0, X.shape[0], step):
             sl = slice(lo, lo + step)
             part = _chirp_sums(self._edges, self._side, lin[sl], quad[sl])
             out[:, sl] = part if self._kept is None else part[self._kept]
@@ -453,27 +399,21 @@ class AxisFactor:
         counts its endpoint evaluations, edges per sample (rows + 1 on
         contiguous rows, gaps included otherwise); the ladder counts the
         node-samples summed.  Each ladder level sums its own samples,
-        scattered into the result; the cap shift's corner factors go on
-        once, over the whole batch."""
-        coef = X
-        if self._quad is not None:
-            coef = np.column_stack([X[:, self._lin], X[:, -len(self._quad):] @ self._quad])
+        scattered into the result."""
         if self._closed:
-            return self._closed_sums(coef[:, 0], coef[:, 1]), len(self._edges) * X.shape[0]
+            return self._closed_sums(X), len(self._edges) * X.shape[0]
         level = self.level_of(X)
         count = np.bincount(level, minlength=len(self.nodes))
         work = len(self.rows) * int(count @ self.nodes)
         present = np.flatnonzero(count)
         if len(present) <= 1:
-            out = self._level_sums(int(present[0]) if len(present) else 0, coef)
-        else:
-            out = np.empty((len(self.rows), X.shape[0]), dtype=complex)
-            for k in present:
-                at = np.flatnonzero(level == k)
-                out[:, at] = self._level_sums(int(k), coef[at])
-        if self._quad is not None:
-            c = self.rows * self._side
-            out *= _cis(np.multiply.outer(c, coef[:, 0]) + np.multiply.outer(c * c, coef[:, 1]))
+            t, amp = self._levels[int(present[0]) if len(present) else 0]
+            return _interval_sums(t, amp, self._part, X), work
+        out = np.empty((len(self.rows), X.shape[0]), dtype=complex)
+        for k in present:
+            at = np.flatnonzero(level == k)
+            t, amp = self._levels[k]
+            out[:, at] = _interval_sums(t, amp, self._part, X[at])
         return out, work
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
@@ -721,9 +661,9 @@ class ExtensionEvaluator:
 
     def _build_separable(self, split):
         # The 1-D factors of a QuadSurface (a2 = a5 = 0) are in closed form
-        # (_chirp_sums) for a unit profile, else go by the cap-shift
-        # recurrence of _shift_sums; other splits (curve lifts) are summed
-        # directly from the split's phase tables.
+        # (_chirp_sums) for a unit profile; profiled factors and other
+        # splits (curve lifts) are summed directly from the split's phase
+        # tables.
         f = self.field
         side = f.cells[0].side
         bound = self.surface.phase_derivative_bound()

@@ -430,7 +430,6 @@ def measure_trivial(surface: SurfaceEvaluator, field_in: AmplitudeField,
 
 
 def parabola_reference(n_scale: float, p: float, sampler: Sampler,
-                       amplitude: Callable | None = None,
                        ball: BallSpec | None = None) -> DecouplingReport:
     """l^2 cap decoupling of the planar curve (t, t^2) at scale N; the known
     planar theorem makes this a calibration of the whole pipeline.  The ball
@@ -440,7 +439,7 @@ def parabola_reference(n_scale: float, p: float, sampler: Sampler,
     def make_sources(x_max):
         # the phase x1 t + x2 t^2 varies at most 3 |x|_inf per unit t
         caps = np.arange(2 ** m)
-        return [(AxisFactor(caps, 2.0 ** -m, x_max, 3.0, 1, amplitude, None, 0, (1.0,)), 2 ** m)]
+        return [(AxisFactor(caps, 2.0 ** -m, x_max, 3.0, 1, None, None, 0, (1.0,)), 2 ** m)]
 
     return _measure(make_sources, _total, lambda v, s: _aggregate(v[0], s[0], p), p, p,
                     sampler, ball, kind="parabola-2d", n_scale=n_scale, dim=2)

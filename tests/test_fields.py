@@ -533,7 +533,7 @@ def test_quadratic_split_memory(monkeypatch):
     assert peaks[0] < bound < peaks[1] < 80 * QUAD_BLOCK_ELEMENTS
 
 
-# -- the separable engine's cap-shift recurrence --------------------------------
+# -- the separable engine against direct interval sums -------------------------
 
 # level-3 cells whose rows (1, 3) and columns (0, 2, 5) have gaps and whose
 # rows do not start at 0
@@ -578,7 +578,7 @@ def direct_cell_values(surface, field, x_max, x, nodes):
 
 
 @pytest.mark.parametrize("x_max, batch", [(4.0, 37), (4.0, 1), (1e3, 700), (1e3, 1)])
-def test_shift_recurrence_matches_direct_interval_sums(x_max, batch):
+def test_separable_engine_matches_direct_interval_sums(x_max, batch):
     # at x_max = 1e3 a cell has more than NODE_BLOCK nodes, and a batch of
     # 700 is not a multiple of any sample block
     surface = quad_surface((0.9, 0, -0.3, 0.6, 0, 1.1))
@@ -620,10 +620,16 @@ def test_ladder_levels_of_the_indicator_n256_cell():
 MOMENT = moment_curve()
 
 
+def parabola_phase(t_nodes, x_batch):
+    return np.outer(t_nodes, x_batch[:, 0]) + np.outer(t_nodes ** 2, x_batch[:, 1])
+
+
 def parabola_factor(x_max, side, node_factor):
     """(factor, per-unit phase bound, sample dimension) of four parabola caps,
-    with an amplitude (a unit one takes the closed form, not the ladder)."""
-    return (AxisFactor(np.arange(4), side, x_max, 3.0, node_factor, g1, None, 0, (1.0,)),
+    with an amplitude and the parabola's phase table (a unit amplitude with
+    the phase's (lin, quad) takes the closed form, not the ladder)."""
+    return (AxisFactor(np.arange(4), side, x_max, 3.0, node_factor, g1, parabola_phase,
+                       0, None),
             3.0, 2)
 
 
@@ -744,34 +750,32 @@ def test_node_samples_counts_what_each_engine_sums():
     assert line.node_samples < 2 * line.nodes[0] * 45
 
 
-def check_curve_lift(monkeypatch, x_max, x):
-    """A curve lift's separable cell values, off the cap shift, against the
-    tensor path on the x_max nodes; returns the evaluator."""
-    def no_shift(*args):
-        raise AssertionError("a curve lift is not quadratic")
-
-    monkeypatch.setattr(fields_module, "_shift_sums", no_shift)
+def check_curve_lift(x_max, x):
+    """A curve lift's separable cell values, summed directly from the
+    curve's phase tables, against the tensor path on the x_max nodes;
+    returns the evaluator."""
     lift = curve_lift(moment_curve(), (0.0, 0.25), (0.75, 1.0))
     f = AmplitudeField.separable(3, g1, g2, support=[
         DyadicSquare(3, 0, 6), DyadicSquare(3, 1, 7), DyadicSquare(3, 1, 6)])
     ev = extension_evaluator(lift, f, x_max)
     assert ev._mode == "separable"
+    assert not any(factor._closed for factor in ev._factors)
     got = ev.cell_values(x)
     want = extension_evaluator(lift, generic_copy(f), x_max).cell_values(x)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     return ev
 
 
-def test_curve_lift_keeps_the_direct_interval_sums(monkeypatch):
+def test_curve_lift_keeps_the_direct_interval_sums():
     x = np.random.default_rng(53).uniform(-6.0, 6.0, size=(9, 4))
-    check_curve_lift(monkeypatch, 6.0, x)
+    check_curve_lift(6.0, x)
 
 
-def test_curve_lift_ladder_sums_every_level(monkeypatch):
+def test_curve_lift_ladder_sums_every_level():
     # at x_max = 60 the curve-lift factors have a five-level node ladder
     rng = np.random.default_rng(53)
     x = rng.uniform(-60.0, 60.0, size=(9, 4)) * 2.0 ** -rng.integers(0, 5, size=9)[:, None]
-    ev = check_curve_lift(monkeypatch, 60.0, x)
+    ev = check_curve_lift(60.0, x)
     assert len(np.unique(ev._factors[0].level_of(x))) >= 3
 
 
@@ -803,10 +807,11 @@ def longdouble_factor(rows, h, u, amp, lin, quad):
     return np.array(out)
 
 
-def test_shift_recurrence_drift_over_128_rows():
-    # 128 rows at 32 points: the geometry of an N=16384 cell.  The
-    # recurrence is never re-seeded, so its rounding grows along the rows;
-    # the bound was fixed at 1e-10 of max |value| before measuring.
+def test_profiled_factor_over_128_rows_matches_longdouble():
+    # 128 rows at 32 points: the geometry of an N=16384 cell, where rows far
+    # from 0 have the largest phases.  The profiled factor sums each row's
+    # own phase table directly; the bound was fixed at 1e-10 of max |value|
+    # before measuring.
     lev, x_max = 7, measurement_ball(4, 16384.0).quantile_radius(X_MAX_TAIL)
     f = AmplitudeField.separable(lev, g1, g2,
                                  support=[DyadicSquare(lev, i, 3) for i in range(128)])
@@ -827,13 +832,15 @@ def test_shift_recurrence_drift_over_128_rows():
 
 
 def test_separable_engine_memory_stays_within_one_sample_block():
-    # Bounds fixed beforehand.  A sample block holds P and Z (together
-    # QUAD_BLOCK_ELEMENTS complex elements) and the float phase tables that
-    # build them: 48 bytes per budget element allows both and the e(.)
-    # kernel's scratch.  A factor returns (rows, batch) sums and makes the
-    # corner phases and their e(.) of that shape: 48 bytes per row-sample.
-    # The cell values add the (cells, batch) result and one gathered factor.
-    # P and Z of every row at once would be more than 10x the factor bound.
+    # Bounds fixed beforehand.  The constant field's factors take the
+    # closed form: a factor returns (rows, batch) sums and builds its
+    # edges x samples tables one block of _CIS_BLOCK // (rows + 1) samples
+    # at a time.  The bound allows 48 bytes per QUAD_BLOCK_ELEMENTS element
+    # for one block's tables and the e(.) kernel's scratch, and 48 bytes
+    # per row-sample for the result.  The cell values add the (cells,
+    # batch) result and one gathered factor.  A node table of every row at
+    # once (32 bytes per node-sample) would be more than 10x the factor
+    # bound.
     f = AmplitudeField.constant(4)
     x_max = measurement_ball(4, 256.0).quantile_radius(X_MAX_TAIL)
     batch, rows, cells = 4096, 16, 256
@@ -855,6 +862,35 @@ def test_separable_engine_memory_stays_within_one_sample_block():
     assert vals.shape == (cells, batch)
     assert factor_peak < block + 48 * rows * batch
     assert peak < block + 48 * 2 * rows * batch + 32 * cells * batch
+
+
+def test_profiled_factor_memory_stays_within_one_node_block():
+    # Bound fixed beforehand.  The profiled factor of an N=16384 cell sums
+    # its nodes NODE_BLOCK at a time.  Per block it holds the phase table
+    # (two outer products and their float sum, 24 bytes per node-sample)
+    # and its e(.) (16 bytes): 40 bytes x NODE_BLOCK x batch.  On top come
+    # the (rows, batch) result and one ladder level's part of it (32 bytes
+    # per row-sample) and the e(.) kernel's scratch (under 80 bytes per
+    # element of one pass).  A table of all the nodes at once would take
+    # more than twice the bound.
+    lev, x_max = 7, measurement_ball(4, 16384.0).quantile_radius(X_MAX_TAIL)
+    rows, batch = 4, 4096
+    f = AmplitudeField.separable(lev, g1, g2,
+                                 support=[DyadicSquare(lev, i, 3) for i in range(rows)])
+    factor = extension_evaluator(SQUARES, f, x_max)._factors[0]
+    assert not factor._closed and factor.nodes[0] > 4 * NODE_BLOCK
+    bound = 40 * NODE_BLOCK * batch + 32 * rows * batch + 80 * _CIS_BLOCK
+    assert 40 * factor.nodes[0] * batch > 2 * bound
+    x = np.random.default_rng(73).uniform(-x_max, x_max, size=(batch, 4))
+    tracemalloc.start()
+    try:
+        vals, work = factor.sums(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (rows, batch)
+    assert work == rows * factor.nodes[factor.level_of(x)].sum()
+    assert peak < bound
 
 
 # -- the atomic engine's progression split --------------------------------------
@@ -1072,7 +1108,6 @@ def test_unit_profiles_take_the_closed_form_and_others_the_ladder(monkeypatch):
         monkeypatch.setattr(fields_module, name, wrapped)
 
     count("_chirp_sums")
-    count("_shift_sums")
     count("_interval_sums")
     closed = (AmplitudeField.constant(3), AmplitudeField.random_phase(3, seed=4),
               AmplitudeField.constant(3, 2.0, support=GAPPED))
@@ -1095,7 +1130,7 @@ def test_unit_profiles_take_the_closed_form_and_others_the_ladder(monkeypatch):
         calls.clear()
         ev = extension_evaluator(SEPARABLE, f, 40.0)
         ev.cell_values(x)
-        assert set(calls) == {"_shift_sums", "_chirp_sums"}
+        assert set(calls) == {"_interval_sums", "_chirp_sums"}
         assert [factor._closed for factor in ev._factors] == [f.g1 is None, f.g2 is None]
     calls.clear()
     lift = curve_lift(MOMENT, (0.0, 0.25), (0.75, 1.0))

@@ -37,8 +37,9 @@ def test_strip_benchmark_smoke(tmp_path):
 
 
 def test_indicator_benchmark_smoke(tmp_path):
-    # the indicator cells run the separable engine's cap-shift recurrence,
-    # and every run checks it against the 2x refined quadrature
+    # the indicator cells run the separable engine's closed-form chirp
+    # factors; every run checks them against the 2x refined field, which
+    # the closed form leaves bit-identical
     smoke_run(tmp_path, "indicator")
 
 
