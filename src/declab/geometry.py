@@ -167,15 +167,18 @@ class QuadSurface(SurfaceEvaluator):
         if a.a2 != 0.0 or a.a5 != 0.0:
             return None
 
+        def table(tt, lin, quad):
+            # t (lin + t quad), built in the one (len(tt), B) output buffer
+            out = np.multiply.outer(tt, quad)
+            out += lin
+            out *= np.asarray(tt)[:, None]
+            return out
+
         def part_t(tt, X):
-            lin = X[:, 0]
-            quad = a.a1 * X[:, 2] + a.a4 * X[:, 3]
-            return np.outer(tt, lin) + np.outer(tt * tt, quad)
+            return table(tt, X[:, 0], a.a1 * X[:, 2] + a.a4 * X[:, 3])
 
         def part_s(ss, X):
-            lin = X[:, 1]
-            quad = a.a3 * X[:, 2] + a.a6 * X[:, 3]
-            return np.outer(ss, lin) + np.outer(ss * ss, quad)
+            return table(ss, X[:, 1], a.a3 * X[:, 2] + a.a6 * X[:, 3])
 
         return part_t, part_s
 

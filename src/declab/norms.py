@@ -12,9 +12,13 @@ Radii come from the radial CDF (tabulated at 2^14 + 1 knots) by a cached
 inverse lookup that reproduces np.interp bit for bit: a table of 2^14 equal
 buckets of [0, 1) gives each draw its knot after one refinement step, and
 np.searchsorted takes the few draws whose bucket holds more than one knot.
-Within a chunk, the sums of |F|^p w/q and its square go over cache-sized
-blocks of series rows, and a block whose series share an integer exponent
-raises by repeated multiplication instead of pow.
+Each chunk goes to the integrand evaluator in sub-batches whose series table
+holds at most _SERIES_BLOCK values (or 256 samples' worth), dropped before
+the next call, so memory stays bounded whatever the series count.  Within a
+sub-batch, the sums of |F|^p w/q and its square go over cache-sized blocks
+of series rows, each a matrix-vector product against w/q and its square,
+and a block whose series share an integer exponent raises by repeated
+multiplication instead of pow.
 """
 
 from __future__ import annotations
@@ -351,9 +355,24 @@ class NormEstimate:
         return self.stderr / self.value
 
 
-# Elements of |F| per accumulation block: a block of series rows of the chunk
-# and its powers stay in a 2 MB L2 cache (8 rows of a 4096-point chunk).
+# Elements of |F| per accumulation block: a block of series rows of the
+# sub-batch and its powers stay in a 2 MB L2 cache (8 rows of 4096 samples).
 _ACCUM_BLOCK = 2 ** 15
+# Elements of F per evaluator call: each chunk goes to the evaluator in
+# sub-batches of a power of two samples (at least 256), so the series table
+# it returns stays within 4 MB of complex values, or 256 samples' worth.
+_SERIES_BLOCK = 2 ** 18
+_MIN_SUB_BATCH = 256
+
+
+def _sub_batch(chunk: int, series: int) -> int:
+    """Samples per evaluator call: the whole chunk when its table fits in
+    _SERIES_BLOCK elements, else the largest power of two b with
+    b * series <= _SERIES_BLOCK, but at least _MIN_SUB_BATCH."""
+    fit = _SERIES_BLOCK // max(series, 1)
+    if chunk <= fit:
+        return chunk
+    return min(chunk, max(_MIN_SUB_BATCH, 1 << max(fit.bit_length() - 1, 0)))
 
 
 def _int_power(a: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
@@ -379,17 +398,19 @@ def _row_blocks(out) -> list[np.ndarray]:
 
 
 class _Accumulator:
-    """Per-series sums of |F|^p w/q and its square, and the maximum of |F|,
-    over chunks of at most n samples whose series rows come in blocks of the
-    given sizes.
+    """Per-series sums of |F|^p w/q and its square, and the maximum of |F|
+    for p = inf series, over batches of at most n samples whose series rows
+    come in blocks of the given sizes.
 
     Series rows go max(1, _ACCUM_BLOCK // n) at a time through two scratch
     tables allocated once, so no temporary grows with the series count; a
     group of rows that spans several input blocks is filled from each in
-    turn, and no per-row sum depends on where the blocks split.  A group
+    turn, and no sum depends on where the input blocks split.  A group
     whose series share an integer exponent raises by multiplication; other
-    groups (mixed or non-integer p) use np.power.  p = inf series are
-    summed at p = 1 and report only their maximum."""
+    groups (mixed or non-integer p) use np.power.  Each group's two sums
+    are one matrix-vector product each, against w/q and its square.
+    p = inf series are summed at p = 1 and report only their maximum,
+    which only the groups holding one compute."""
 
     def __init__(self, ps: Sequence[float], sizes: Sequence[int], n: int):
         nser = len(ps)
@@ -405,38 +426,52 @@ class _Accumulator:
             segs = [(k, max(lo, s) - s, min(hi, e) - s, max(lo, s) - lo)
                     for k, (s, e) in enumerate(zip(bounds[:-1], bounds[1:]))
                     if max(lo, s) < min(hi, e)]
-            self.blocks.append((lo, hi, segs, int(pb[0]) if same else pb[:, None]))
+            has_inf = not np.all(np.isfinite(ps[lo:hi]))
+            self.blocks.append((lo, hi, segs, int(pb[0]) if same else pb[:, None], has_inf))
         self.mag = np.empty((min(self.rows, nser), n))
         self.powed = np.empty_like(self.mag)
         self.s1, self.s2, self.maxes = np.zeros(nser), np.zeros(nser), np.zeros(nser)
-        self._c1, self._c2, self._top = np.empty(nser), np.empty(nser), np.empty(nser)
+        self._c1, self._c2, self._top = np.empty(nser), np.empty(nser), np.zeros(nser)
 
     def add(self, blocks: Sequence[np.ndarray], iw: np.ndarray, x: np.ndarray) -> None:
-        """Adds one chunk of values F at the points x with importance
+        """Adds one batch of values F at the points x with importance
         weights iw: the (rows, n) blocks of series, in series order.  The
         blocks are only read.  A non-finite |F| raises
         PoisonedEstimateError for the first such (series, sample), before
-        the chunk reaches the sums."""
+        the batch reaches the sums."""
         n = blocks[0].shape[1]
-        for lo, hi, segs, p in self.blocks:
+        iw2 = iw * iw
+        for lo, hi, segs, p, has_inf in self.blocks:
             mag = self.mag[:hi - lo, :n]
             for k, a, e, d in segs:
                 np.abs(blocks[k][a:e], out=mag[d:d + e - a])
-            top = np.max(mag, axis=1, out=self._top[lo:hi])   # NaN and inf propagate
-            if not np.all(np.isfinite(top)):
-                bad = np.argwhere(~np.isfinite(mag))
-                raise PoisonedEstimateError(x[bad[0][1]], lo + int(bad[0][0]))
+            if has_inf:
+                np.max(mag, axis=1, out=self._top[lo:hi])
             if isinstance(p, int):
                 v = _int_power(mag, p, self.powed[:hi - lo, :n])
             else:
                 v = np.power(mag, p, out=self.powed[:hi - lo, :n])
-            v *= iw
-            np.sum(v, axis=1, out=self._c1[lo:hi])
+            np.dot(v, iw, out=self._c1[lo:hi])
             v *= v
-            np.sum(v, axis=1, out=self._c2[lo:hi])
+            np.dot(v, iw2, out=self._c2[lo:hi])
+        # the terms are >= 0, so the total is finite unless a term is not
+        # (or the total overflows, which _check_finite lets pass)
+        if not math.isfinite(self._c1.sum() + self._c2.sum()):
+            for lo, hi, segs, _, _ in self.blocks:
+                self._check_finite(blocks, segs, lo, hi, x)
         self.s1 += self._c1
         self.s2 += self._c2
         np.maximum(self.maxes, self._top, out=self.maxes)
+
+    def _check_finite(self, blocks, segs, lo, hi, x) -> None:
+        """Raises PoisonedEstimateError for the first non-finite |F| of rows
+        lo:hi, if any."""
+        mag = self.mag[:hi - lo, :x.shape[0]]
+        for k, a, e, d in segs:
+            np.abs(blocks[k][a:e], out=mag[d:d + e - a])
+        bad = np.argwhere(~np.isfinite(mag))
+        if len(bad):
+            raise PoisonedEstimateError(x[bad[0][1]], lo + int(bad[0][0]))
 
 
 def weighted_norm_batch(evaluator: Callable[[np.ndarray], object],
@@ -448,27 +483,34 @@ def weighted_norm_batch(evaluator: Callable[[np.ndarray], object],
     evaluator(X) returns the series on a batch X of shape (B, dim): an
     (n_series, B) array (complex or real), or a sequence of row blocks,
     each (rows, B) or a single (B,) row, whose rows in order are the
-    series.  All series share the sample set, so ratios of the returned
-    values have strongly reduced variance.  p = inf series return the
-    sample maximum and are flagged approximate.
+    series.  B is at most the sampler's chunk: each chunk goes to the
+    evaluator in sub-batches of at most _SERIES_BLOCK values (at least
+    256 samples), and each returned table is dropped before the next call.
+    All series share the sample set, so ratios of the returned values have
+    strongly reduced variance.  p = inf series return the sample maximum
+    and are flagged approximate.
     """
     ps = [float(p) for p in ps]
     if any(p < 1.0 for p in ps):
         raise ValueError("norm exponents must be >= 1")
     prop = _MixtureProposal(ball, defensive=(sampler.proposal == "mixture"))
+    b = _sub_batch(sampler.chunk, len(ps))
     acc = None
     tot = 0
     k = 0
     while tot < sampler.budget:
         n = min(sampler.chunk, sampler.budget - tot)
         x, iw = prop.sample(sampler.seed, k, n)
-        blocks = _row_blocks(evaluator(x))
-        if acc is None:
-            sizes = [len(b) for b in blocks]
-            if len(ps) != sum(sizes):
-                raise ValueError("one exponent per series required")
-            acc = _Accumulator(ps, sizes, n)
-        acc.add(blocks, iw, x)
+        for lo in range(0, n, b):
+            xs = x[lo:lo + b]
+            blocks = _row_blocks(evaluator(xs))
+            if acc is None:
+                sizes = [len(blk) for blk in blocks]
+                if len(ps) != sum(sizes):
+                    raise ValueError("one exponent per series required")
+                acc = _Accumulator(ps, sizes, min(n, b))
+            acc.add(blocks, iw[lo:lo + b], xs)
+            del blocks
         tot += n
         k += 1
     s1, s2, maxes = acc.s1, acc.s2, acc.maxes

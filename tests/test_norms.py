@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from declab.fields import AmplitudeField, extension_evaluator
 from declab.geometry import random_admissible, quad_surface
 from declab.grid import cap_level_for
+from declab.harness import ScenarioSpec, run_cell
 from declab.norms import (BallSpec, PoisonedEstimateError, Sampler,
                           _MixtureProposal, sphere_area, weight_mass,
                           weighted_lp_norm, weighted_norm_batch)
@@ -272,24 +273,33 @@ def test_l2_almost_orthogonality_at_dual_scale():
 MIXED_PS = [6.0] * 8 + [3.0] * 8 + [7.5] * 8 + [1.0, 2.0, 3.0, 6.0, 7.5, np.inf, np.inf]
 
 
-def smooth_series(X):
-    """(31, B) complex values with moduli that vary across series and points."""
-    k = np.arange(len(MIXED_PS))[:, None]
+def smooth_rows(X, count):
+    """(count, B) complex values with moduli that vary across series and
+    points."""
+    k = np.arange(count)[:, None]
     r = np.linalg.norm(X, axis=1)
     return (1.0 + 0.05 * k) / (1.0 + 0.01 * r) * (1.2 + np.cos(0.3 * k + X[:, 0])) \
         * np.exp(1j * (k * X[:, 1] - X[:, 2]))
 
 
+def smooth_series(X):
+    """(31, B): one row per exponent of MIXED_PS."""
+    return smooth_rows(X, len(MIXED_PS))
+
+
 def power_reference(evaluator, ball, ps, sampler):
-    """Value and stderr per finite-p series, from np.power over whole chunks."""
+    """Value and stderr per finite-p series, from np.power over whole
+    chunks, and the maximum of |F| per series."""
     prop = _MixtureProposal(ball, defensive=(sampler.proposal == "mixture"))
     finite_p = np.where(np.isfinite(ps), ps, 1.0)[:, None]
-    s1 = s2 = 0.0
+    s1 = s2 = top = 0.0
     tot = k = 0
     while tot < sampler.budget:
         n = min(sampler.chunk, sampler.budget - tot)
         x, iw = prop.sample(sampler.seed, k, n)
-        vals = np.abs(evaluator(x)) ** finite_p * iw
+        mag = np.abs(evaluator(x))
+        top = np.maximum(top, mag.max(axis=1))
+        vals = mag ** finite_p * iw
         s1 = s1 + vals.sum(axis=1)
         s2 = s2 + (vals * vals).sum(axis=1)
         tot += n
@@ -297,7 +307,19 @@ def power_reference(evaluator, ball, ps, sampler):
     integral = s1 / tot
     value = integral ** (1.0 / finite_p[:, 0])
     var = np.maximum(s2 / tot - integral ** 2, 0.0) / tot
-    return value, np.sqrt(var) * value / (finite_p[:, 0] * integral)
+    return value, np.sqrt(var) * value / (finite_p[:, 0] * integral), top
+
+
+def assert_matches_power_reference(evaluator, ball, ps, sampler):
+    ests = weighted_norm_batch(evaluator, ball, ps, sampler)
+    value, stderr, top = power_reference(evaluator, ball, np.array(ps), sampler)
+    for i, p in enumerate(ps):
+        if np.isfinite(p):
+            assert ests[i].value == pytest.approx(value[i], rel=1e-14, abs=0)
+            assert ests[i].stderr == pytest.approx(stderr[i], rel=1e-12, abs=0)
+        else:
+            assert ests[i].approximate and ests[i].stderr is None
+            assert ests[i].value == top[i]
 
 
 @pytest.mark.parametrize("sampler", [Sampler(budget=3 * 4096 + 1000, seed=83),
@@ -305,15 +327,51 @@ def power_reference(evaluator, ball, ps, sampler):
                          ids=["chunk=4096", "chunk=1000"])
 def test_blocked_accumulation_matches_power_reference(sampler):
     # the budgets end on a short chunk
+    assert_matches_power_reference(smooth_series, BallSpec.at_origin(4, 16.0), MIXED_PS,
+                                   sampler)
+
+
+# 300 series: 2^18 // 300 = 873 values per row fit the evaluator's table, so
+# each 4096-point chunk goes to the evaluator in sub-batches of 512 points;
+# blocks of 64 rows with p = 6, 3 and 7.5, then mixed blocks with p = inf
+WIDE_PS = [6.0] * 96 + [3.0] * 96 + [7.5] * 94 + [1.0, 2.0, 3.0, 6.0, 7.5, np.inf, np.inf] * 2
+WIDE_BATCH = 512
+
+
+def test_sub_batched_accumulation_matches_power_reference():
+    # the budget ends on a short chunk of one full sub-batch and a short
+    # one; the p = inf maxima carry across sub-batches and chunks
+    calls = []
+
+    def wide(X):
+        calls.append(len(X))
+        return smooth_rows(X, len(WIDE_PS))
+
+    sampler = Sampler(budget=2 * 4096 + 700, seed=109)
+    assert_matches_power_reference(wide, BallSpec.at_origin(4, 16.0), WIDE_PS, sampler)
+    assert calls[:18] == [WIDE_BATCH] * 17 + [700 - WIDE_BATCH]
+
+
+def test_poisoned_value_named_within_its_sub_batch():
+    # non-finite values in the second sub-batch of chunk 1: the error names
+    # the first in (series, sample) order, at that sub-batch's own point
     ball = BallSpec.at_origin(4, 16.0)
-    ests = weighted_norm_batch(smooth_series, ball, MIXED_PS, sampler)
-    value, stderr = power_reference(smooth_series, ball, np.array(MIXED_PS), sampler)
-    for i, p in enumerate(MIXED_PS):
-        if np.isfinite(p):
-            assert ests[i].value == pytest.approx(value[i], rel=1e-14, abs=0)
-            assert ests[i].stderr == pytest.approx(stderr[i], rel=1e-12, abs=0)
-        else:
-            assert ests[i].approximate and ests[i].stderr is None
+    sampler = Sampler(budget=3 * 4096, seed=113)
+    x1, _ = _MixtureProposal(ball, defensive=True).sample(113, 1, 4096)
+    targets = [(250, WIDE_BATCH + 10, np.nan), (40, WIDE_BATCH + 400, np.inf),
+               (40, WIDE_BATCH + 450, np.nan)]
+
+    def poisoned(X):
+        vals = smooth_rows(X, len(WIDE_PS))
+        for series, i, bad in targets:
+            at = np.flatnonzero((X == x1[i]).all(axis=1))
+            vals[series, at] = bad
+        return vals
+
+    with pytest.raises(PoisonedEstimateError) as err:
+        weighted_norm_batch(poisoned, ball, WIDE_PS, sampler)
+    assert err.value.series == 40
+    assert np.array_equal(err.value.x, x1[WIDE_BATCH + 400])
 
 
 def test_poisoned_value_named_in_series_order():
@@ -361,6 +419,48 @@ def test_accumulation_memory_stays_within_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+# Bound fixed beforehand for an evaluator of 1025 series (4^5 caps and their
+# sum): one table of 16 B x max(2^18, 256 x 1025) values, 4.0 MB, the two
+# accumulator scratch tables of 2^15 floats, 0.5 MB, and 1.5 MB for one
+# proposal chunk of 4096 points.  One (1025, 4096) complex table alone is
+# 64 MB.
+SUB_BATCH_BOUND = 16 * max(2 ** 18, 256 * 1025) + 2 * 8 * 2 ** 15 + 3 * 2 ** 19
+
+
+def test_series_tables_stay_within_one_sub_batch():
+    # the evaluator allocates a fresh table per call
+    ball = BallSpec.at_origin(4, 16.0)
+    sampler = Sampler(budget=3 * 4096, seed=127)
+
+    def fresh(X):
+        return np.full((1025, len(X)), 1.5 + 0.5j)
+
+    weighted_norm_batch(fresh, ball, [6.0] * 1025, sampler)
+    tracemalloc.start()
+    try:
+        weighted_norm_batch(fresh, ball, [6.0] * 1025, sampler)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < SUB_BATCH_BOUND
+
+
+def test_indicator_cell_memory_stays_within_one_sub_batch():
+    # indicator N=1024 has 1024 caps; the evaluator's (caps, B) cell table
+    # is folded into cap rows in place, so one table is live per sub-batch
+    spec = ScenarioSpec(kind="indicator", n_scale=1024.0, p=6.0)
+    sampler = Sampler(budget=4096, seed=131)
+    run_cell(spec, sampler)
+    tracemalloc.start()
+    try:
+        rep = run_cell(spec, sampler)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.caps_total == 1024
+    assert peak < SUB_BATCH_BOUND
 
 
 def reference_sample(prop, seed, chunk_index, n):
