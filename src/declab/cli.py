@@ -3,8 +3,8 @@
 Subcommands: measure, transversality, rescale-check, exponents, example,
 smoke.  Artifacts are JSON (structured reports, slope fits, plot series)
 and CSV (one row per measurement cell).  Every emitted byte is determined
-by (config, seed, version); cells are scheduled over a thread pool capped
-by DECLAB_THREADS and emitted in deterministic key order.
+by (config, seed, version): the distinct (scenario, N, p) cells run one
+after another in that order, and their rows are emitted in it.
 """
 
 from __future__ import annotations
@@ -12,11 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,8 +108,14 @@ def _check_values(cfg: dict):
         cells = _expand_cells(cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"scenario: {exc}") from exc
-    for cell, spec, raw in cells:
-        where = f"scenario {cell.scenario_index} ({cell.kind}, N={spec.n_scale:g})"
+    center = cfg.get("ball", {}).get("center")
+    if center is not None:
+        dims = sorted({_ball_geometry(spec)[0] for _, spec, _ in cells})
+        if not isinstance(center, list) or len(center) not in dims:
+            raise ConfigError("ball center must list "
+                              f"{' or '.join(map(str, dims))} coordinates "
+                              f"(the dimension of some cell), got {center!r}")
+    for idx, spec, raw in cells:
         try:
             harness.scenario(spec)
             if "surface" in raw:
@@ -123,7 +126,7 @@ def _check_values(cfg: dict):
             if ball is not None:
                 weight_mass(ball)
         except (ValueError, TypeError, KeyError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+            raise ConfigError(f"{_where(idx, spec)}: {exc}") from exc
 
 
 def _build_surface(spec: dict):
@@ -159,22 +162,6 @@ def _build_field(spec: dict, level: int, default_seed: int) -> AmplitudeField:
     raise ConfigError(f"unknown field mode {mode!r}")
 
 
-def _ball_for(cfg: dict, dim: int, radius: float):
-    bc = cfg.get("ball")
-    if not bc:
-        return None
-    center = bc.get("center")
-    if center is not None and len(center) != dim:
-        # mixed-dimension scenario lists: the center applies only to cells
-        # of the matching dimension
-        center = None
-    return measurement_ball(dim, radius,
-                            decay=float(bc.get("E", 100.0)),
-                            trunc=float(bc.get("T", 4.0)),
-                            center=center,
-                            shape=bc.get("shape", "plateau"))
-
-
 def _sampler_from(cfg: dict, default_seed: int) -> Sampler:
     sc = cfg.get("sampler", {})
     return Sampler(budget=int(sc.get("budget", 20000)),
@@ -184,19 +171,10 @@ def _sampler_from(cfg: dict, default_seed: int) -> Sampler:
                    chunk=int(sc.get("chunk", 4096)))
 
 
-@dataclass(frozen=True)
-class _Cell:
-    scenario_index: int
-    kind: str
-    n_scale: float
-    p: float
-
-    def key(self):
-        return (self.scenario_index, self.kind, self.n_scale, self.p)
-
-
-def _expand_cells(cfg: dict) -> list[tuple[_Cell, ScenarioSpec, dict]]:
-    cells = []
+def _expand_cells(cfg: dict) -> list[tuple[int, ScenarioSpec, dict]]:
+    """(scenario index, spec, raw scenario) for each distinct (index, N, p)
+    cell, sorted by (index, N, p); a repeated N or p runs once."""
+    cells = {}
     for idx, sc in enumerate(cfg["scenarios"]):
         kind = sc["kind"]
         n_list = sc.get("N", [64])
@@ -213,16 +191,38 @@ def _expand_cells(cfg: dict) -> list[tuple[_Cell, ScenarioSpec, dict]]:
                                     seed=int(sc.get("seed", cfg["seed"])),
                                     i1=tuple(sc.get("I1", (0.0, 0.25))),
                                     i2=tuple(sc.get("I2", (0.75, 1.0))))
-                cells.append((_Cell(idx, kind, float(n), float(p)), spec, sc))
-    return sorted(cells, key=lambda c: c[0].key())
+                cells.setdefault((idx, spec.n_scale, spec.p), (idx, spec, sc))
+    return [cells[key] for key in sorted(cells)]
+
+
+def _where(idx: int, spec: ScenarioSpec) -> str:
+    return f"scenario {idx} ({spec.kind}, N={spec.n_scale:g}, p={spec.p:g})"
+
+
+def _ball_geometry(spec: ScenarioSpec) -> tuple[int, float]:
+    """(dimension, radius) of the cell's measurement ball."""
+    if spec.kind == "parabola-2d":
+        return 2, spec.n_scale
+    if spec.kind == "strip":
+        return 4, float(spec.k_squares)
+    return 4, spec.n_scale
 
 
 def _cell_ball(cfg: dict, spec: ScenarioSpec):
-    if spec.kind == "parabola-2d":
-        return _ball_for(cfg, 2, spec.n_scale)
-    if spec.kind == "strip":
-        return _ball_for(cfg, 4, float(spec.k_squares))
-    return _ball_for(cfg, 4, spec.n_scale)
+    bc = cfg.get("ball")
+    if not bc:
+        return None
+    dim, radius = _ball_geometry(spec)
+    center = bc.get("center")
+    if center is not None and len(center) != dim:
+        # mixed-dimension scenario lists: the center applies only to cells
+        # of the matching dimension (the load check makes sure some match)
+        center = None
+    return measurement_ball(dim, radius,
+                            decay=float(bc.get("E", 100.0)),
+                            trunc=float(bc.get("T", 4.0)),
+                            center=center,
+                            shape=bc.get("shape", "plateau"))
 
 
 def _run_custom_cell(spec: ScenarioSpec, raw: dict, sampler: Sampler, ball):
@@ -262,21 +262,11 @@ def cmd_measure(args) -> int:
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    threads = os.environ.get("DECLAB_THREADS", "1")
-    try:
-        workers = int(threads)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        print(f"config error: DECLAB_THREADS must be an integer >= 1, got {threads!r}",
-              file=sys.stderr)
-        return EXIT_SCHEMA
     sampler = _sampler_from(cfg, cfg["seed"])
-    cells = _expand_cells(cfg)
     time_budget = cfg.get("time_budget_s")
 
     def run_one(item):
-        cell, spec, raw = item
+        idx, spec, raw = item
         ball = _cell_ball(cfg, spec)
         if "surface" in raw or "field" in raw:
             rep = _run_custom_cell(spec, raw, sampler, ball)
@@ -286,24 +276,15 @@ def cmd_measure(args) -> int:
             rep.meta["budget_warning"] = (
                 f"cell ran {rep.runtime_ms / 1e3:.1f}s over the "
                 f"{time_budget}s budget")
-            print(f"warning: {cell.key()}: {rep.meta['budget_warning']}",
+            print(f"warning: {_where(idx, spec)}: {rep.meta['budget_warning']}",
                   file=sys.stderr)
-        return cell.key(), rep
+        return rep
 
-    results = {}
     try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for key, rep in pool.map(run_one, cells):
-                    results[key] = rep
-        else:
-            for item in cells:
-                key, rep = run_one(item)
-                results[key] = rep
+        reports = [run_one(item) for item in _expand_cells(cfg)]
     except PoisonedEstimateError as exc:
         print(f"numeric poisoning: {exc}", file=sys.stderr)
         return EXIT_POISONED
-    reports = [results[k] for k in sorted(results)]
 
     outputs = cfg.get("outputs", {})
     report_path = args.out or outputs.get("report")
@@ -336,13 +317,12 @@ def cmd_measure(args) -> int:
 def cmd_example(args) -> int:
     # build everything the run needs first, so that bad input fails with a
     # one-line message, as `measure` does at load
-    dim = 2 if args.kind == "parabola-2d" else 4
-    radius = float(args.K) if args.kind == "strip" else float(args.N)
     try:
         spec = ScenarioSpec(kind=args.kind, n_scale=args.N, p=args.p,
                             k_squares=args.K, nu=args.nu, seed=args.seed)
         harness.scenario(spec)
         sampler = Sampler(budget=args.budget, seed=args.seed)
+        dim, radius = _ball_geometry(spec)
         center = None
         if args.center:
             center = [float(v) for v in args.center.split(",")]

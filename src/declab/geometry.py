@@ -100,7 +100,7 @@ class SurfaceEvaluator:
 
     Subclasses implement value() and partial(); both broadcast over numpy
     arrays of parameters and return arrays with a trailing axis of length 4.
-    Instances are immutable and safe to share across workers.
+    Instances are immutable.
     """
 
     domain = ((0.0, 1.0), (0.0, 1.0))

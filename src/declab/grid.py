@@ -127,6 +127,6 @@ class CapPartition:
 
 def cap_level_for(n_scale: float) -> int:
     """Cap level m = ceil(log2 sqrt(N)); caps have side ~ N^{-1/2}."""
-    if n_scale < 1:
-        raise ValueError("scale must be >= 1")
+    if not 1 <= n_scale < np.inf:
+        raise ValueError(f"scale must be finite and >= 1, got {n_scale}")
     return int(np.ceil(np.log2(np.sqrt(n_scale)) - 1e-12))

@@ -607,8 +607,8 @@ def scenario(spec: ScenarioSpec) -> ScenarioBundle:
     """Construct the canonical surface/field configuration for a scenario;
     raises ValueError for a spec that its measurement would reject."""
     kind = spec.kind
-    if not spec.p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {spec.p:g}")
+    if not 1.0 <= spec.p < np.inf:
+        raise ValueError(f"p must be finite and >= 1, got {spec.p:g}")
     m = cap_level_for(spec.n_scale)
     surface, fields, squares = None, [], []
     if kind == "indicator":
