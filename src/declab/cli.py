@@ -62,14 +62,19 @@ def _check_keys(mapping, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_config(path: str) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
     _check_keys(cfg, _TOP_KEYS, "config")
     if cfg.get("v") != FORMAT_VERSION:
         raise ConfigError(f"config version must be {FORMAT_VERSION}")
-    if "seed" not in cfg or not isinstance(cfg["seed"], int):
-        raise ConfigError("config requires an integer seed")
+    _integer(cfg.get("seed"), "config seed")
     scenarios = cfg.get("scenarios")
     if not isinstance(scenarios, list) or not scenarios:
         raise ConfigError("config requires a non-empty scenarios list")
@@ -146,7 +151,8 @@ def _build_field(spec: dict, level: int, default_seed: int) -> AmplitudeField:
     if mode == "const":
         return AmplitudeField.constant(level)
     if mode == "random-phase":
-        return AmplitudeField.random_phase(level, int(spec.get("seed", default_seed)))
+        return AmplitudeField.random_phase(level, _integer(spec.get("seed", default_seed),
+                                                           "field seed"))
     if mode == "atomic":
         if spec.get("kind") == "flat-line":
             flat = ScenarioSpec(kind="flat-line", n_scale=float(spec["N"]))
@@ -164,11 +170,11 @@ def _build_field(spec: dict, level: int, default_seed: int) -> AmplitudeField:
 
 def _sampler_from(cfg: dict, default_seed: int) -> Sampler:
     sc = cfg.get("sampler", {})
-    return Sampler(budget=int(sc.get("budget", 20000)),
-                   seed=int(sc.get("seed", default_seed)),
+    return Sampler(budget=_integer(sc.get("budget", 20000), "sampler budget"),
+                   seed=_integer(sc.get("seed", default_seed), "sampler seed"),
                    strategy=sc.get("strategy", "mc"),
                    proposal=sc.get("proposal", "mixture"),
-                   chunk=int(sc.get("chunk", 4096)))
+                   chunk=_integer(sc.get("chunk", 4096), "sampler chunk"))
 
 
 def _expand_cells(cfg: dict) -> list[tuple[int, ScenarioSpec, dict]]:
@@ -177,18 +183,18 @@ def _expand_cells(cfg: dict) -> list[tuple[int, ScenarioSpec, dict]]:
     cells = {}
     for idx, sc in enumerate(cfg["scenarios"]):
         kind = sc["kind"]
-        n_list = sc.get("N", [64])
-        if not isinstance(n_list, list):
-            n_list = [n_list]
-        p_list = sc.get("p", [6])
-        if not isinstance(p_list, list):
-            p_list = [p_list]
+        n_list, p_list = (v if isinstance(v, list) else [v]
+                          for v in (sc.get("N", [64]), sc.get("p", [6])))
+        if not n_list or not p_list:
+            raise ValueError(f"empty {'p' if n_list else 'N'} list in scenario {idx}")
+        if kind == "strip" and len({float(n) for n in n_list}) > 1:
+            raise ValueError(f"strip scenario {idx} gives N={n_list}; its scale is K: give one N")
+        seed = _integer(sc.get("seed", cfg["seed"]), "scenario seed")
         for n in n_list:
             for p in p_list:
                 spec = ScenarioSpec(kind=kind, n_scale=float(n), p=float(p),
                                     k_squares=sc.get("K", 8),
-                                    nu=float(sc.get("nu", 0.25)),
-                                    seed=int(sc.get("seed", cfg["seed"])),
+                                    nu=float(sc.get("nu", 0.25)), seed=seed,
                                     i1=tuple(sc.get("I1", (0.0, 0.25))),
                                     i2=tuple(sc.get("I2", (0.75, 1.0))))
                 cells.setdefault((idx, spec.n_scale, spec.p), (idx, spec, sc))
@@ -256,12 +262,16 @@ def write_csv(path: str, reports: list[DecouplingReport]):
             writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
 
 
+def _config_error(exc: Exception) -> int:
+    print(f"config error: {exc}", file=sys.stderr)
+    return EXIT_SCHEMA
+
+
 def cmd_measure(args) -> int:
     try:
         cfg = load_config(args.config)
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        return _config_error(exc)
     sampler = _sampler_from(cfg, cfg["seed"])
     time_budget = cfg.get("time_budget_s")
 
@@ -331,8 +341,7 @@ def cmd_example(args) -> int:
                                  f"got {len(center)}")
         ball = measurement_ball(dim, radius, center=center)
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        return _config_error(exc)
     try:
         rep = run_cell(spec, sampler, ball=ball)
     except PoisonedEstimateError as exc:
@@ -349,8 +358,11 @@ def _parse_coeffs(text: str) -> QuadCoeffs:
 
 
 def cmd_transversality(args) -> int:
-    coeffs = _parse_coeffs(args.A)
-    graph = transversality_graph(coeffs, args.K, nu=args.nu)
+    try:
+        coeffs = _parse_coeffs(args.A)
+        graph = transversality_graph(coeffs, args.K, nu=args.nu)
+    except ValueError as exc:
+        return _config_error(exc)
     sample = []
     rng = np.random.default_rng(0)
     for _ in range(min(args.pairs_sample, args.K ** 2)):
@@ -383,14 +395,18 @@ def cmd_transversality(args) -> int:
 
 
 def cmd_rescale_check(args) -> int:
-    coeffs = _parse_coeffs(args.A)
-    a, b, delta = (float(v) for v in args.R.split(","))
-    rng = np.random.default_rng(args.seed)
-    n_pts = 8
-    pts = np.column_stack([rng.uniform(a, a + delta, n_pts),
-                           rng.uniform(b, b + delta, n_pts)])
-    amps = np.exp(2j * np.pi * rng.random(n_pts))
-    field = AmplitudeField.atomic(pts, amps)
+    try:
+        coeffs = _parse_coeffs(args.A)
+        a, b, delta = (float(v) for v in args.R.split(","))
+        if not 0 < delta < np.inf:
+            raise ValueError(f"--R needs a cap side delta > 0, got {delta:g}")
+        if args.trials < 1:
+            raise ValueError(f"--trials must be >= 1, got {args.trials}")
+        rng = np.random.default_rng(args.seed)
+        pts = np.column_stack([rng.uniform(a, a + delta, 8), rng.uniform(b, b + delta, 8)])
+        field = AmplitudeField.atomic(pts, np.exp(2j * np.pi * rng.random(8)))
+    except (ValueError, OverflowError) as exc:
+        return _config_error(exc)
     res = rescaling_residual(coeffs, field, (a, b, delta),
                              trials=args.trials, seed=args.seed)
     print(json.dumps({"max_residual": res, "trials": args.trials}, indent=2))
@@ -402,8 +418,11 @@ def cmd_exponents(args) -> int:
 
     from .exponents import (contradiction_search, exponent_constants,
                             iterate_growth_bound)
-    p = Fraction(args.p).limit_denominator(10 ** 6)
-    consts = exponent_constants(p)
+    try:
+        p = Fraction(args.p).limit_denominator(10 ** 6)
+        consts = exponent_constants(p)
+    except (ValueError, OverflowError) as exc:
+        return _config_error(exc)
     payload = {"p": float(p), "kappa": float(consts["kappa"])}
     if "gamma_candidate" in consts:
         payload["gamma_candidate"] = float(consts["gamma_candidate"])

@@ -99,8 +99,7 @@ class DecouplingReport:
     meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.rhs_l2 is not None and np.isfinite(self.p) and self.p >= 2 \
-                and self.caps_total > 0 and self.rhs_lp > 0:
+        if self.rhs_l2 is not None and self.p >= 2 and self.caps_total > 0 and self.rhs_lp > 0:
             bound = self.caps_total ** (0.5 - 1.0 / self.p) * self.rhs_lp
             if self.rhs_l2 > bound * (1 + 1e-9):
                 raise ValueError("recorded cap norms violate the l2 <= lp aggregation bound")
@@ -114,7 +113,7 @@ class DecouplingReport:
 
     def trivial_bound_ok(self, sigmas: float = 5.0) -> bool:
         """Cauchy-Schwarz upper bound: ratio <= (#caps)^{1-1/p}, within noise."""
-        if not np.isfinite(self.p) or self.caps_total == 0:
+        if self.caps_total == 0:
             return True
         bound = self.caps_total ** (1.0 - 1.0 / self.p)
         return self.ratio_lp <= bound * (1.0 + sigmas * self.ratio_rel_stderr)
@@ -125,7 +124,7 @@ class DecouplingReport:
             "N": self.n_scale,
             "p": self.p,
             "lhs": self.lhs.value,
-            "lhs_se": self.lhs.stderr if self.lhs.stderr is not None else "",
+            "lhs_se": self.lhs.stderr,
             "rhs_lp": self.rhs_lp,
             "rhs_l2": self.rhs_l2 if self.rhs_l2 is not None else "",
             "ratio_lp": self.ratio_lp,
@@ -149,15 +148,22 @@ class DecouplingReport:
         return d
 
 
-def _aggregate(values: np.ndarray, stderrs: np.ndarray, p: float) -> tuple[float, float, float]:
-    """(rhs_lp, se_lp, rhs_l2) from per-cap norm estimates."""
-    rhs_l2 = float(np.sqrt((values ** 2).sum()))
-    if not np.isfinite(p):
-        return float(values.max()), 0.0, rhs_l2
-    rhs_lp = (values ** p).sum() ** (1.0 / p)
-    var_sp = ((p * values ** (p - 1) * stderrs) ** 2).sum()
-    se_lp = np.sqrt(var_sp) / (p * rhs_lp ** (p - 1)) if rhs_lp > 0 else 0.0
-    return float(rhs_lp), float(se_lp), rhs_l2
+def _rhs(q: float, scale: float = 1.0) -> Callable:
+    """`_measure`'s rhs for caps in l^q: with k sources and S_i = sum v^q over
+    source i's cap norms v, rhs = scale (prod S_i)^{1/(k q)}, its delta-method
+    error rhs/(k q) sqrt(sum_i sum_v (q v^{q-1} se_v)^2 / S_i^2), and rhs_l2 =
+    sqrt(sum v^2) for one source, None for several."""
+
+    def combine(vals, ses):
+        k = len(vals)
+        sums = [(v ** q).sum() for v in vals]
+        rhs = scale * np.prod(sums) ** (1.0 / (k * q))
+        rel = sum(((q * v ** (q - 1) * s) ** 2).sum() / S ** 2
+                  for v, s, S in zip(vals, ses, sums)) if rhs > 0 else 0.0
+        rhs_l2 = float(np.sqrt((vals[0] ** 2).sum())) if k == 1 else None
+        return rhs, rhs / (k * q) * np.sqrt(rel), rhs_l2
+
+    return combine
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +286,9 @@ def _measure(make_sources: Callable, lhs: Callable, rhs: Callable, p: float, p_c
     x_max in sup norm: (rows, count) pairs, rows(x_batch) giving a (count, B)
     block of cap values.  lhs(*blocks) is the left-hand integrand, normed in L^p,
     and every cap is normed in L^p_caps.  rhs(values, stderrs), one array of
-    cap norms per source, returns (rhs_lp, se_lp, rhs_l2 or None).  The ball
-    defaults to the measurement ball of radius N in R^dim, the cap level to
-    N's and caps_total to the number of caps measured."""
+    cap norms per source, returns (rhs_lp, se_lp, rhs_l2 or None): a `_rhs`
+    combiner.  The ball defaults to the measurement ball of radius N in
+    R^dim, the cap level to N's and caps_total to the number of caps measured."""
     t0 = time.perf_counter()
     ball = ball or measurement_ball(dim, n_scale)
     if ball.dim != dim:
@@ -296,7 +302,7 @@ def _measure(make_sources: Callable, lhs: Callable, rhs: Callable, p: float, p_c
     counts = [count for _, count in sources]
     ests = weighted_norm_batch(series, ball, [p] + [p_caps] * sum(counts), sampler)
     values = np.array([e.value for e in ests[1:]])
-    stderrs = np.array([e.stderr or 0.0 for e in ests[1:]])
+    stderrs = np.array([e.stderr for e in ests[1:]])
     cuts = np.cumsum(counts)[:-1]
     rhs_lp, se_lp, rhs_l2 = rhs(np.split(values, cuts), np.split(stderrs, cuts))
     lhs_value = ests[0].value
@@ -325,8 +331,8 @@ def measure_linear(surface: SurfaceEvaluator, field_in: AmplitudeField,
     m = cap_level_for(n_scale) if cap_level is None else cap_level
     caps = _support_caps(field_in, m)
     return _measure(lambda x_max: [_cap_source(surface, field_in, caps, x_max)], _total,
-                    lambda v, s: _aggregate(v[0], s[0], p), p, p, sampler, ball,
-                    kind="linear", n_scale=n_scale, cap_level=m, caps_total=4 ** m)
+                    _rhs(p), p, p, sampler, ball, kind="linear", n_scale=n_scale,
+                    cap_level=m, caps_total=4 ** m)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +365,7 @@ def measure_bilinear(surface: SurfaceEvaluator,
     """Bilinear ratio |E1 E2|^{1/2} against the product of per-square cap
     aggregates, for a nu-transverse pair of squares."""
     make_sources, min_form = _pair_sources(surface, field1, r1, field2, r2, n_scale, nu)
-
-    def rhs(vals, ses):
-        (rhs1, se1, _), (rhs2, se2, _) = (_aggregate(v, s, p) for v, s in zip(vals, ses))
-        rhs = np.sqrt(rhs1 * rhs2)
-        se_rhs = 0.5 * rhs * np.sqrt((se1 / rhs1) ** 2 + (se2 / rhs2) ** 2) if rhs > 0 else 0.0
-        return rhs, se_rhs, None
-
-    return _measure(make_sources, _geometric_mean, rhs, p, p, sampler, ball,
+    return _measure(make_sources, _geometric_mean, _rhs(p), p, p, sampler, ball,
                     kind="bilinear", n_scale=n_scale,
                     meta={"nu": nu, "min_form": min_form,
                           "r1": (r1.level, r1.i, r1.j), "r2": (r2.level, r2.i, r2.j)})
@@ -379,24 +378,16 @@ def measure_square_function(surface: SurfaceEvaluator,
                             nu: float, ball: BallSpec | None = None) -> DecouplingReport:
     """Square-function bilinear ratio: geometric-mean cap square function in
     L^p against N^{-4/p} times the product of cap L^{p/2} aggregates."""
-    if np.isfinite(p) and p < 4:
+    if p < 4:
         raise ValueError("square-function measurement needs p >= 4")
     make_sources, min_form = _pair_sources(surface, field1, r1, field2, r2, n_scale, nu)
 
     def lhs(v1, v2):
         return ((np.abs(v1) ** 2).sum(axis=0) * (np.abs(v2) ** 2).sum(axis=0)) ** 0.25
 
-    def rhs(vals, ses):
-        s1, s2 = ((v ** 2).sum() for v in vals)
-        rhs = float(n_scale) ** (-4.0 / p) * (s1 * s2) ** 0.25
-        se_rhs = 0.0
-        if s1 > 0 and s2 > 0:
-            var_s1, var_s2 = (((2 * v * s) ** 2).sum() for v, s in zip(vals, ses))
-            se_rhs = rhs / 4.0 * np.sqrt(var_s1 / s1 ** 2 + var_s2 / s2 ** 2)
-        return rhs, se_rhs, None
-
-    return _measure(make_sources, lhs, rhs, p, p / 2, sampler, ball, kind="square-function",
-                    n_scale=n_scale, meta={"nu": nu, "min_form": min_form})
+    return _measure(make_sources, lhs, _rhs(2, float(n_scale) ** (-4.0 / p)), p, p / 2,
+                    sampler, ball, kind="square-function", n_scale=n_scale,
+                    meta={"nu": nu, "min_form": min_form})
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +407,10 @@ def measure_trivial(surface: SurfaceEvaluator, field_in: AmplitudeField,
         if a == b or a.contains_square(b) or b.contains_square(a):
             raise OverlappingSquaresError("squares must be pairwise disjoint")
     k_scale = 2 ** squares[0].level
-    trivial_factor = k_scale ** (1.0 - 2.0 / p) if np.isfinite(p) else 1.0
+    trivial_factor = k_scale ** (1.0 - 2.0 / p)
     rep = _measure(lambda x_max: [_cap_source(surface, field_in, squares, x_max)], _total,
-                   lambda v, s: _aggregate(v[0], s[0], p), p, p, sampler, ball,
-                   kind="trivial", n_scale=k_scale, cap_level=squares[0].level,
+                   _rhs(p), p, p, sampler, ball, kind="trivial", n_scale=k_scale,
+                   cap_level=squares[0].level,
                    meta={"K": k_scale, "trivial_factor": trivial_factor})
     rep.meta["ratio_vs_trivial"] = rep.ratio_lp / trivial_factor
     return rep
@@ -441,8 +432,8 @@ def parabola_reference(n_scale: float, p: float, sampler: Sampler,
         caps = np.arange(2 ** m)
         return [(AxisFactor(caps, 2.0 ** -m, x_max, 3.0, 1, None, None, 0, (1.0,)), 2 ** m)]
 
-    return _measure(make_sources, _total, lambda v, s: _aggregate(v[0], s[0], p), p, p,
-                    sampler, ball, kind="parabola-2d", n_scale=n_scale, dim=2)
+    return _measure(make_sources, _total, _rhs(p), p, p, sampler, ball,
+                    kind="parabola-2d", n_scale=n_scale, dim=2)
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +485,7 @@ def curve_bilinear(curve: CurveEvaluator, i1, i2,
         return [(line.interval_values, len(line.intervals))
                 for line in _curve_lines(curve, caps, (h1, h2), x_max)]
 
-    def rhs(vals, ses):
-        s1, s2 = ((v ** 6).sum() for v in vals)
-        rhs = (s1 * s2) ** (1.0 / 12.0)
-        se_rhs = 0.0
-        if s1 > 0 and s2 > 0:
-            var_s1, var_s2 = (((6 * v ** 5 * s) ** 2).sum() for v, s in zip(vals, ses))
-            se_rhs = rhs / 12.0 * np.sqrt(var_s1 / s1 ** 2 + var_s2 / s2 ** 2)
-        return rhs, se_rhs, None
-
-    return _measure(make_sources, _geometric_mean, rhs, 12.0, 6.0, sampler, ball,
+    return _measure(make_sources, _geometric_mean, _rhs(6), 12.0, 6.0, sampler, ball,
                     kind="curve-bilinear", n_scale=n_scale,
                     meta={"i1": tuple(i1), "i2": tuple(i2), "reference_exponent": -1.0 / 6.0})
 
@@ -690,8 +672,8 @@ def fit_slope(scales: Sequence[float], ratios: Sequence[float],
     method propagating per-point Monte Carlo noise."""
     x = np.log(np.asarray(scales, dtype=float))
     y = np.log(np.asarray(ratios, dtype=float))
-    if len(x) < 2:
-        raise ValueError("need at least two points for a slope")
+    if len(set(x.tolist())) < 2:
+        raise ValueError("need at least two distinct scales for a slope")
     xc = x - x.mean()
     sxx = (xc ** 2).sum()
     slope = float((xc * y).sum() / sxx)
@@ -706,7 +688,8 @@ def fit_slope(scales: Sequence[float], ratios: Sequence[float],
 @dataclass
 class SlopeSeries:
     """The reports of one (kind, p), by N, and the slope of their fitted
-    ratio (`fit_aggregate`) when there are three or more."""
+    ratio (`fit_aggregate`) when there are three or more at two or more
+    distinct N."""
     key: str
     ratio: str
     reports: list[DecouplingReport]
@@ -731,7 +714,7 @@ def slope_series(reports: Sequence[DecouplingReport]
     for (key, ratio), reps in sorted(groups.items()):
         reps.sort(key=lambda r: r.n_scale)
         fit = None
-        if len(reps) >= 3:
+        if len(reps) >= 3 and len({r.n_scale for r in reps}) >= 2:
             fit = fit_slope([r.n_scale for r in reps], [getattr(r, ratio) for r in reps],
                             [r.ratio_rel_stderr for r in reps])
         series.append(SlopeSeries(key, ratio, reps, fit))
@@ -740,8 +723,8 @@ def slope_series(reports: Sequence[DecouplingReport]
 
 def emit_plotdata(reports: Sequence[DecouplingReport]) -> dict:
     """Plot-ready series: per (kind, p), log-log coordinates of the fitted
-    ratio with error bars and a fitted slope annotation when three or more
-    points exist."""
+    ratio with error bars and a fitted slope annotation when `slope_series`
+    fits one."""
     series, skipped = slope_series(reports)
     why = ("empty or non-finite ratio", "customised surface or field")
     out = {"series": [],

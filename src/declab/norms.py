@@ -18,7 +18,7 @@ the next call, so memory stays bounded whatever the series count.  Within a
 sub-batch, the sums of |F|^p w/q and its square go over cache-sized blocks
 of series rows, each a matrix-vector product against w/q and its square,
 and a block whose series share an integer exponent raises by repeated
-multiplication instead of pow.
+multiplication instead of pow.  Exponents are finite and at least 1.
 """
 
 from __future__ import annotations
@@ -335,24 +335,18 @@ class _MixtureProposal:
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A weighted L^p norm value with sampling metadata.
+    """A weighted L^p norm value and its Monte Carlo standard error.
 
     truncation_tail records the fraction of weight mass outside the
     truncated integration region (untruncated-total relative)."""
 
     value: float
-    stderr: float | None
-    count: int
-    seed: int
-    p: float
-    approximate: bool = False
-    truncation_tail: float | None = None
+    stderr: float
+    truncation_tail: float
 
     @property
     def rel_stderr(self) -> float:
-        if self.stderr is None or self.value == 0.0:
-            return 0.0
-        return self.stderr / self.value
+        return self.stderr / self.value if self.value else 0.0
 
 
 # Elements of |F| per accumulation block: a block of series rows of the
@@ -398,9 +392,8 @@ def _row_blocks(out) -> list[np.ndarray]:
 
 
 class _Accumulator:
-    """Per-series sums of |F|^p w/q and its square, and the maximum of |F|
-    for p = inf series, over batches of at most n samples whose series rows
-    come in blocks of the given sizes.
+    """Per-series sums of |F|^p w/q and its square, over batches of at most
+    n samples whose series rows come in blocks of the given sizes.
 
     Series rows go max(1, _ACCUM_BLOCK // n) at a time through two scratch
     tables allocated once, so no temporary grows with the series count; a
@@ -408,30 +401,27 @@ class _Accumulator:
     turn, and no sum depends on where the input blocks split.  A group
     whose series share an integer exponent raises by multiplication; other
     groups (mixed or non-integer p) use np.power.  Each group's two sums
-    are one matrix-vector product each, against w/q and its square.
-    p = inf series are summed at p = 1 and report only their maximum,
-    which only the groups holding one compute."""
+    are one matrix-vector product each, against w/q and its square."""
 
     def __init__(self, ps: Sequence[float], sizes: Sequence[int], n: int):
         nser = len(ps)
-        finite_p = np.where(np.isfinite(ps), ps, 1.0)
+        ps = np.asarray(ps)
         bounds = np.cumsum([0, *sizes])
         self.rows = max(1, _ACCUM_BLOCK // n)
         self.blocks = []
         for lo in range(0, nser, self.rows):
             hi = min(lo + self.rows, nser)
-            pb = finite_p[lo:hi]
+            pb = ps[lo:hi]
             same = np.all(pb == pb[0]) and pb[0] == int(pb[0])
             # (input block, its first and end row, first scratch row)
             segs = [(k, max(lo, s) - s, min(hi, e) - s, max(lo, s) - lo)
                     for k, (s, e) in enumerate(zip(bounds[:-1], bounds[1:]))
                     if max(lo, s) < min(hi, e)]
-            has_inf = not np.all(np.isfinite(ps[lo:hi]))
-            self.blocks.append((lo, hi, segs, int(pb[0]) if same else pb[:, None], has_inf))
+            self.blocks.append((lo, hi, segs, int(pb[0]) if same else pb[:, None]))
         self.mag = np.empty((min(self.rows, nser), n))
         self.powed = np.empty_like(self.mag)
-        self.s1, self.s2, self.maxes = np.zeros(nser), np.zeros(nser), np.zeros(nser)
-        self._c1, self._c2, self._top = np.empty(nser), np.empty(nser), np.zeros(nser)
+        self.s1, self.s2 = np.zeros(nser), np.zeros(nser)
+        self._c1, self._c2 = np.empty(nser), np.empty(nser)
 
     def add(self, blocks: Sequence[np.ndarray], iw: np.ndarray, x: np.ndarray) -> None:
         """Adds one batch of values F at the points x with importance
@@ -441,12 +431,8 @@ class _Accumulator:
         the batch reaches the sums."""
         n = blocks[0].shape[1]
         iw2 = iw * iw
-        for lo, hi, segs, p, has_inf in self.blocks:
-            mag = self.mag[:hi - lo, :n]
-            for k, a, e, d in segs:
-                np.abs(blocks[k][a:e], out=mag[d:d + e - a])
-            if has_inf:
-                np.max(mag, axis=1, out=self._top[lo:hi])
+        for lo, hi, segs, p in self.blocks:
+            mag = self._magnitudes(blocks, lo, hi, segs, n)
             if isinstance(p, int):
                 v = _int_power(mag, p, self.powed[:hi - lo, :n])
             else:
@@ -455,23 +441,21 @@ class _Accumulator:
             v *= v
             np.dot(v, iw2, out=self._c2[lo:hi])
         # the terms are >= 0, so the total is finite unless a term is not
-        # (or the total overflows, which _check_finite lets pass)
+        # (or the total overflows, which this check lets pass)
         if not math.isfinite(self._c1.sum() + self._c2.sum()):
-            for lo, hi, segs, _, _ in self.blocks:
-                self._check_finite(blocks, segs, lo, hi, x)
+            for lo, hi, segs, _ in self.blocks:
+                bad = np.argwhere(~np.isfinite(self._magnitudes(blocks, lo, hi, segs, n)))
+                if len(bad):
+                    raise PoisonedEstimateError(x[bad[0][1]], lo + int(bad[0][0]))
         self.s1 += self._c1
         self.s2 += self._c2
-        np.maximum(self.maxes, self._top, out=self.maxes)
 
-    def _check_finite(self, blocks, segs, lo, hi, x) -> None:
-        """Raises PoisonedEstimateError for the first non-finite |F| of rows
-        lo:hi, if any."""
-        mag = self.mag[:hi - lo, :x.shape[0]]
+    def _magnitudes(self, blocks, lo, hi, segs, n) -> np.ndarray:
+        """|F| of series rows lo:hi, in the first scratch table."""
+        mag = self.mag[:hi - lo, :n]
         for k, a, e, d in segs:
             np.abs(blocks[k][a:e], out=mag[d:d + e - a])
-        bad = np.argwhere(~np.isfinite(mag))
-        if len(bad):
-            raise PoisonedEstimateError(x[bad[0][1]], lo + int(bad[0][0]))
+        return mag
 
 
 def weighted_norm_batch(evaluator: Callable[[np.ndarray], object],
@@ -487,17 +471,17 @@ def weighted_norm_batch(evaluator: Callable[[np.ndarray], object],
     evaluator in sub-batches of at most _SERIES_BLOCK values (at least
     256 samples), and each returned table is dropped before the next call.
     All series share the sample set, so ratios of the returned values have
-    strongly reduced variance.  p = inf series return the sample maximum
-    and are flagged approximate.
+    strongly reduced variance.  Every exponent must be finite and >= 1:
+    a ValueError names the first that is not, before any sample is drawn.
     """
     ps = [float(p) for p in ps]
-    if any(p < 1.0 for p in ps):
-        raise ValueError("norm exponents must be >= 1")
+    bad = next((p for p in ps if not 1.0 <= p < math.inf), None)
+    if bad is not None:
+        raise ValueError(f"norm exponents must be finite and >= 1, got {bad:g}")
     prop = _MixtureProposal(ball, defensive=(sampler.proposal == "mixture"))
     b = _sub_batch(sampler.chunk, len(ps))
     acc = None
-    tot = 0
-    k = 0
+    tot = k = 0
     while tot < sampler.budget:
         n = min(sampler.chunk, sampler.budget - tot)
         x, iw = prop.sample(sampler.seed, k, n)
@@ -513,30 +497,19 @@ def weighted_norm_batch(evaluator: Callable[[np.ndarray], object],
             del blocks
         tot += n
         k += 1
-    s1, s2, maxes = acc.s1, acc.s2, acc.maxes
     tail = ball.truncation_tail_fraction()
     out = []
     for i, p in enumerate(ps):
-        if not np.isfinite(p):
-            out.append(NormEstimate(value=float(maxes[i]), stderr=None, count=tot,
-                                    seed=sampler.seed, p=p, approximate=True,
-                                    truncation_tail=tail))
-            continue
         # E_q[|F|^p w/q] = int |F|^p w, so the weighted mean is the integral
-        integral = s1[i] / tot
-        var = max(s2[i] / tot - integral * integral, 0.0) / tot
+        integral = acc.s1[i] / tot
+        var = max(acc.s2[i] / tot - integral * integral, 0.0) / tot
         value = integral ** (1.0 / p)
         stderr = math.sqrt(var) * value / (p * integral) if integral > 0 else 0.0
-        out.append(NormEstimate(value=float(value), stderr=float(stderr), count=tot,
-                                seed=sampler.seed, p=p, truncation_tail=tail))
+        out.append(NormEstimate(float(value), float(stderr), tail))
     return out
 
 
 def weighted_lp_norm(f: Callable[[np.ndarray], np.ndarray], ball: BallSpec,
                      p: float, sampler: Sampler) -> NormEstimate:
     """Single-integrand wrapper; bit-identical to a batch of one."""
-
-    def eval_one(x):
-        return np.asarray(f(x))[None, :]
-
-    return weighted_norm_batch(eval_one, ball, [p], sampler)[0]
+    return weighted_norm_batch(lambda x: np.asarray(f(x)), ball, [p], sampler)[0]

@@ -137,6 +137,26 @@ def test_example_bad_input_is_a_config_error(capsys, argv):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["transversality", "--A", "1,0,0,0,0,1", "--K", "12"],
+    ["transversality", "--A", "1,0,0,0,0,1", "--K", "0"],
+    ["rescale-check", "--A", "1,0,0,0,0.5,0", "--R", "0.5,0.5,0"],
+    ["rescale-check", "--A", "1,0,0,0,0.5,0", "--R", "0.5,0.5,-0.125"],
+    ["rescale-check", "--A", "1,0,0,0,0.5,0", "--R", "0.5,nan,0.125"],
+    ["rescale-check", "--A", "1,0,0,0,0.5,0", "--R", "0.5,0.5,0.125", "--trials", "0"],
+    ["exponents", "--p", "3"],
+    ["exponents", "--p", "inf"],
+], ids=["transversality-K=12", "transversality-K=0", "rescale-delta=0",
+        "rescale-delta<0", "rescale-b=nan", "rescale-trials=0", "exponents-p=3",
+        "exponents-p=inf"])
+def test_subcommand_bad_input_is_a_config_error(capsys, argv):
+    rc = main(argv)
+    assert rc == EXIT_SCHEMA
+    out = capsys.readouterr()
+    assert out.err.startswith("config error: ") and out.err.count("\n") == 1
+    assert out.out == ""
+
+
 def test_transversality_subcommand(tmp_path):
     out = tmp_path / "graph.json"
     rc = main(["transversality", "--A", "1,0,0,0,0,1", "--K", "8",
@@ -326,10 +346,28 @@ def test_numeric_poisoning_exit(tmp_path, monkeypatch):
     ({"kind": "indicator", "N": [16]}, {"seed": -1, "budget": 2048}),
     ({"kind": "indicator", "N": [16], "p": [float("inf")]}, None),
     ({"kind": "indicator", "N": [float("inf")]}, None),
+    ({"kind": "indicator", "N": []}, None),
+    ({"kind": "indicator", "N": [16], "p": []}, None),
+    ({"kind": "strip", "N": [4, 16], "K": 8}, None),
+    ({"kind": "indicator", "N": [16]}, {"seed": 2.7, "budget": 2048}),
+    ({"kind": "indicator", "N": [16]}, {"seed": True, "budget": 2048}),
+    ({"kind": "indicator", "N": [16]}, {"budget": 1024.9}),
+    ({"kind": "indicator", "N": [16]}, {"budget": 2048.0}),
+    ({"kind": "indicator", "N": [16]}, {"budget": True}),
+    ({"kind": "indicator", "N": [16]}, {"budget": 2048, "chunk": 4096.7}),
+    ({"kind": "indicator", "N": [16]}, {"budget": 2048, "chunk": True}),
+    ({"kind": "indicator", "N": [16], "seed": 2.5}, None),
+    ({"kind": "indicator", "N": [16], "seed": False}, None),
+    ({"kind": "indicator", "N": [16], "field": {"mode": "random-phase", "seed": 2.5}}, None),
+    ({"kind": "indicator", "N": [16], "field": {"mode": "random-phase", "seed": True}},
+     None),
 ], ids=["N=0", "N=-4", "p=0.5", "strip-K=3", "strip-K=0", "nu=0.9", "budget=256",
         "strategy=rqmc", "proposal=defensive", "chunk=0", "chunk=-4", "atomic-nan-point",
         "curve-I1-off-grid", "curve-too-close", "strip-K=4.5", "strategy=lattice",
-        "seed=-1", "p=inf", "N=inf"])
+        "seed=-1", "p=inf", "N=inf", "N-empty", "p-empty", "strip-two-N",
+        "sampler-seed=2.7", "sampler-seed=true", "budget=1024.9", "budget=2048.0",
+        "budget=true", "chunk=4096.7", "chunk=true", "scenario-seed=2.5",
+        "scenario-seed=false", "field-seed=2.5", "field-seed=true"])
 def test_bad_value_rejected_at_load(tmp_path, capsys, scenario, sampler):
     cfg_path = tmp_path / "run.json"
     outputs = {"report": str(tmp_path / "report.json"), "csv": str(tmp_path / "rows.csv")}

@@ -166,16 +166,52 @@ def test_square_function_single_cap_matches_bilinear():
     assert sq.lhs.value == pytest.approx(bi.lhs.value, rel=1e-12)
 
 
-def test_square_function_rhs_stderr_propagates_cap_errors():
-    b = scenario(ScenarioSpec(kind="bilinear-pair", n_scale=16, p=4.0, nu=0.25, seed=5))
-    rep = measure_square_function(b.surface, b.fields[0], b.squares[0], b.fields[1],
-                                  b.squares[1], 16, 4.0, small_sampler(seed=8), nu=0.25)
+def lp(v, q):
+    return (v ** q).sum() ** (1.0 / q)
+
+
+# one cell per measurement: run_cell on the spec, or for the square function
+# measure_square_function on the bilinear pair; rhs_case writes out its rhs
+RHS_CASES = {
+    "linear": ScenarioSpec(kind="indicator", n_scale=16, p=6.0),
+    "trivial": ScenarioSpec(kind="strip", k_squares=4, p=6.0),
+    "bilinear": ScenarioSpec(kind="bilinear-pair", n_scale=16, p=4.0, nu=0.25, seed=5),
+    "square-function": ScenarioSpec(kind="bilinear-pair", n_scale=16, p=4.0, nu=0.25,
+                                    seed=5),
+    "curve-bilinear": ScenarioSpec(kind="curve-bilinear", n_scale=64),
+    "parabola-2d": ScenarioSpec(kind="parabola-2d", n_scale=16, p=6.0),
+}
+
+
+def rhs_case(name):
+    """(report, rhs as a function of the per-cap norms)."""
+    spec = RHS_CASES[name]
+    sampler = small_sampler(seed=8)
+    if name == "square-function":
+        b = scenario(spec)
+        rep = measure_square_function(b.surface, b.fields[0], b.squares[0], b.fields[1],
+                                      b.squares[1], spec.n_scale, spec.p, sampler, nu=spec.nu)
+    else:
+        rep = run_cell(spec, sampler)
+    if name in ("linear", "trivial", "parabola-2d"):
+        return rep, lambda v: lp(v, spec.p)
+    if name == "curve-bilinear":
+        n1 = len(harness._curve_caps(spec.i1, spec.i2, rep.cap_level,
+                                     harness.CURVE_MIN_DIST)[0])
+        return rep, lambda v: math.sqrt(lp(v[:n1], 6) * lp(v[n1:], 6))
+    b = scenario(spec)
     n1 = len(harness._support_caps(b.fields[0].restrict(b.squares[0]), rep.cap_level))
+    if name == "bilinear":
+        return rep, lambda v: math.sqrt(lp(v[:n1], spec.p) * lp(v[n1:], spec.p))
+    return rep, lambda v: spec.n_scale ** (-4.0 / spec.p) * math.sqrt(lp(v[:n1], 2)
+                                                                      * lp(v[n1:], 2))
+
+
+@pytest.mark.parametrize("name", list(RHS_CASES))
+def test_rhs_stderr_propagates_cap_errors(name):
+    rep, rhs = rhs_case(name)
     v, s = np.array(rep.per_cap), np.array(rep.per_cap_stderr)
-
-    def rhs(x):
-        return 16.0 ** -1.0 * ((x[:n1] ** 2).sum() * (x[n1:] ** 2).sum()) ** 0.25
-
+    assert len(v) > 1
     assert rhs(v) == pytest.approx(rep.rhs_lp, rel=1e-12)
     # delta method with a central-difference gradient
     grad = np.empty_like(v)
@@ -190,16 +226,9 @@ def test_square_function_rhs_stderr_propagates_cap_errors():
     assert rep.ratio_rel_stderr > rep.lhs.rel_stderr
 
 
-def test_square_function_sup_endpoint():
-    r1 = DyadicSquare(2, 0, 0)
-    r2 = DyadicSquare(2, 3, 3)
-    f1 = AmplitudeField.random_phase(2, seed=4, support=[r1])
-    f2 = AmplitudeField.random_phase(2, seed=5, support=[r2])
-    rep = measure_square_function(SURF, f1, r1, f2, r2, 16, np.inf,
-                                  small_sampler(seed=6), nu=0.25)
-    # pointwise bound: the sampled sup of the LHS cannot exceed the product
-    # of per-cap sup aggregates
-    assert rep.ratio_lp <= 1.0 + 1e-12
+def test_linear_rejects_sup_exponent():
+    with pytest.raises(ValueError, match="finite and >= 1, got inf"):
+        measure_linear(SURF, AmplitudeField.constant(2), 16, np.inf, small_sampler())
 
 
 def test_square_function_requires_p_at_least_four():
@@ -308,6 +337,21 @@ def test_fit_slope_recovers_synthetic():
     assert fit.slope == pytest.approx(truth, abs=0.03)
     lo, hi = fit.ci95
     assert lo < truth < hi or abs(fit.slope - truth) < 0.03
+
+
+def test_fit_slope_rejects_equal_scales():
+    with pytest.raises(ValueError, match="two distinct scales"):
+        fit_slope([8, 8, 8], [1.0, 1.1, 0.9])
+
+
+def test_equal_scales_give_no_slope():
+    # a strip's scale is K: three cells at one K are copies, not a series
+    reports = [run_cell(ScenarioSpec(kind="strip", n_scale=n, k_squares=4, p=6.0),
+                        small_sampler(budget=1024)) for n in (4.0, 16.0, 64.0)]
+    assert {r.n_scale for r in reports} == {4.0}
+    (series,), skipped = harness.slope_series(reports)
+    assert series.fit is None and len(series.reports) == 3 and not skipped
+    assert all("slope" not in s for s in emit_plotdata(reports)["series"])
 
 
 def test_emit_plotdata_series_and_skips():

@@ -203,13 +203,27 @@ def test_jensen_monotonicity_in_p():
     assert all(b >= a * (1 - 1e-12) for a, b in zip(vals, vals[1:]))
 
 
-def test_sup_norm_flagged_approximate():
-    ball = BallSpec.at_origin(4, 4.0)
-    est = weighted_lp_norm(lambda X: np.ones(X.shape[0]), ball, np.inf,
-                           Sampler(budget=1500, seed=3))
-    assert est.approximate
-    assert est.value == pytest.approx(1.0)
-    assert est.stderr is None
+@pytest.mark.parametrize("ps, bad", [([np.inf], "inf"), ([2.0, 6.0, np.inf, 0.5], "inf"),
+                                     ([6.0, np.nan], "nan"), ([2.0, 0.5, np.inf], "0.5")],
+                         ids=["inf", "inf-among-finite", "nan", "below-one-first"])
+def test_exponent_must_be_finite_and_at_least_one(ps, bad):
+    # the message names the first bad exponent, and no sample is drawn
+    calls = []
+
+    def series(X):
+        calls.append(len(X))
+        return np.ones((len(ps), X.shape[0]))
+
+    with pytest.raises(ValueError, match=f"finite and >= 1, got {bad}$"):
+        weighted_norm_batch(series, BallSpec.at_origin(4, 4.0), ps,
+                            Sampler(budget=1500, seed=3))
+    assert calls == []
+
+
+def test_single_norm_rejects_sup_exponent():
+    with pytest.raises(ValueError, match="finite and >= 1, got inf"):
+        weighted_lp_norm(lambda X: np.ones(X.shape[0]), BallSpec.at_origin(4, 4.0), np.inf,
+                         Sampler(budget=1500, seed=3))
 
 
 @pytest.mark.parametrize("kw, match", [
@@ -269,8 +283,8 @@ def test_l2_almost_orthogonality_at_dual_scale():
 # -- blocked accumulation -----------------------------------------------------
 
 # 31 series: with 4096-point chunks, blocks of 8 rows with p = 6, p = 3 and
-# p = 7.5 throughout, then one mixed block of 7 that includes p = inf
-MIXED_PS = [6.0] * 8 + [3.0] * 8 + [7.5] * 8 + [1.0, 2.0, 3.0, 6.0, 7.5, np.inf, np.inf]
+# p = 7.5 throughout, then one mixed block of 7
+MIXED_PS = [6.0] * 8 + [3.0] * 8 + [7.5] * 8 + [1.0, 2.0, 3.0, 6.0, 7.5, 4.5, 1.5]
 
 
 def smooth_rows(X, count):
@@ -288,38 +302,30 @@ def smooth_series(X):
 
 
 def power_reference(evaluator, ball, ps, sampler):
-    """Value and stderr per finite-p series, from np.power over whole
-    chunks, and the maximum of |F| per series."""
+    """Value and stderr per series, from np.power over whole chunks."""
     prop = _MixtureProposal(ball, defensive=(sampler.proposal == "mixture"))
-    finite_p = np.where(np.isfinite(ps), ps, 1.0)[:, None]
-    s1 = s2 = top = 0.0
+    s1 = s2 = 0.0
     tot = k = 0
     while tot < sampler.budget:
         n = min(sampler.chunk, sampler.budget - tot)
         x, iw = prop.sample(sampler.seed, k, n)
-        mag = np.abs(evaluator(x))
-        top = np.maximum(top, mag.max(axis=1))
-        vals = mag ** finite_p * iw
+        vals = np.abs(evaluator(x)) ** ps[:, None] * iw
         s1 = s1 + vals.sum(axis=1)
         s2 = s2 + (vals * vals).sum(axis=1)
         tot += n
         k += 1
     integral = s1 / tot
-    value = integral ** (1.0 / finite_p[:, 0])
+    value = integral ** (1.0 / ps)
     var = np.maximum(s2 / tot - integral ** 2, 0.0) / tot
-    return value, np.sqrt(var) * value / (finite_p[:, 0] * integral), top
+    return value, np.sqrt(var) * value / (ps * integral)
 
 
 def assert_matches_power_reference(evaluator, ball, ps, sampler):
     ests = weighted_norm_batch(evaluator, ball, ps, sampler)
-    value, stderr, top = power_reference(evaluator, ball, np.array(ps), sampler)
-    for i, p in enumerate(ps):
-        if np.isfinite(p):
-            assert ests[i].value == pytest.approx(value[i], rel=1e-14, abs=0)
-            assert ests[i].stderr == pytest.approx(stderr[i], rel=1e-12, abs=0)
-        else:
-            assert ests[i].approximate and ests[i].stderr is None
-            assert ests[i].value == top[i]
+    value, stderr = power_reference(evaluator, ball, np.array(ps), sampler)
+    for i in range(len(ps)):
+        assert ests[i].value == pytest.approx(value[i], rel=1e-14, abs=0)
+        assert ests[i].stderr == pytest.approx(stderr[i], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("sampler", [Sampler(budget=3 * 4096 + 1000, seed=83),
@@ -333,14 +339,13 @@ def test_blocked_accumulation_matches_power_reference(sampler):
 
 # 300 series: 2^18 // 300 = 873 values per row fit the evaluator's table, so
 # each 4096-point chunk goes to the evaluator in sub-batches of 512 points;
-# blocks of 64 rows with p = 6, 3 and 7.5, then mixed blocks with p = inf
-WIDE_PS = [6.0] * 96 + [3.0] * 96 + [7.5] * 94 + [1.0, 2.0, 3.0, 6.0, 7.5, np.inf, np.inf] * 2
+# blocks of 64 rows with p = 6, 3 and 7.5, then mixed blocks
+WIDE_PS = [6.0] * 96 + [3.0] * 96 + [7.5] * 94 + [1.0, 2.0, 3.0, 6.0, 7.5, 4.5, 1.5] * 2
 WIDE_BATCH = 512
 
 
 def test_sub_batched_accumulation_matches_power_reference():
-    # the budget ends on a short chunk of one full sub-batch and a short
-    # one; the p = inf maxima carry across sub-batches and chunks
+    # the budget ends on a short chunk of one full sub-batch and a short one
     calls = []
 
     def wide(X):
