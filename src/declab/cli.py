@@ -421,15 +421,15 @@ def cmd_exponents(args) -> int:
     try:
         p = Fraction(args.p).limit_denominator(10 ** 6)
         consts = exponent_constants(p)
+        payload = {"p": float(p), "kappa": float(consts["kappa"])}
+        if "gamma_candidate" in consts:
+            payload["gamma_candidate"] = float(consts["gamma_candidate"])
+            payload["gamma_iterate"] = float(iterate_growth_bound(
+                p, Fraction(args.eps).limit_denominator(10 ** 9), args.s,
+                consts["gamma_candidate"], args.bigO))
+            payload["contradiction"] = contradiction_search(p, big_o=args.bigO).to_dict()
     except (ValueError, OverflowError) as exc:
         return _config_error(exc)
-    payload = {"p": float(p), "kappa": float(consts["kappa"])}
-    if "gamma_candidate" in consts:
-        payload["gamma_candidate"] = float(consts["gamma_candidate"])
-        payload["gamma_iterate"] = float(iterate_growth_bound(
-            p, Fraction(args.eps).limit_denominator(10 ** 9), args.s,
-            consts["gamma_candidate"], args.bigO))
-        payload["contradiction"] = contradiction_search(p, big_o=args.bigO).to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 

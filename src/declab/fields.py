@@ -42,6 +42,13 @@ Atoms whose surface points form an exact arithmetic progression (tested
 with equality, no tolerance) have the phase c0 + k c1, and a two-level split
 e(c0 + k c1) = e(j b c1) e(c0 + i c1), k = j b + i, b = ceil(sqrt(n)), takes
 b + ceil(n/b) e(.) calls per sample instead of n, with no recurrence.
+
+Rank-one cells: a separable cell (r, c) is coeff ft[r] fs[c], and a
+progression atom k is amp O[k // b] I[k % b].  `ExtensionEvaluator.factors`
+hands out the two short factor tables with each cell's row, column and
+coefficient, so a caller can work on them without the (cells, B) table;
+`cell_values` materialises that table as the same product.
+
 Every engine evaluates e(.) with one table-driven kernel, `_cis`.  Node sums take
 NODE_BLOCK nodes at a time, and the quadratic engine a block of samples
 sized by QUAD_BLOCK_ELEMENTS, so temporaries stay bounded whatever the node
@@ -63,6 +70,7 @@ samples well inside x_max cost a fraction of level 0's.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -87,6 +95,7 @@ def _cis_table(steps: int) -> np.ndarray:
 _CIS_STEPS = 1024
 _CIS_TABLE = _cis_table(_CIS_STEPS)
 _CIS_BLOCK = 16384
+_CIS_LOCAL = threading.local()
 # Quadrature nodes per phase table: node sums hold at most NODE_BLOCK x batch
 # phases at a time, whatever the node count of a cell.
 NODE_BLOCK = 256
@@ -114,6 +123,20 @@ def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _leg_cache[n]
 
 
+def _cis_scratch() -> tuple:
+    """This thread's scratch for `_cis`, allocated on its first call: three
+    float tables, an index table and a complex table of _CIS_BLOCK elements
+    (0.8 MB).  Reusing it keeps each call off freshly mapped pages, which
+    glibc returns to the system when blocks this large are freed."""
+    scratch = getattr(_CIS_LOCAL, "tables", None)
+    if scratch is None:
+        m = _CIS_BLOCK
+        scratch = (np.empty(m), np.empty(m), np.empty(m), np.empty(m, dtype=np.int64),
+                   np.empty(m, dtype=complex))
+        _CIS_LOCAL.tables = scratch
+    return scratch
+
+
 def _cis(ph) -> np.ndarray:
     """e(ph) = exp(2 pi i ph) elementwise, for a real array of any shape.
 
@@ -125,25 +148,24 @@ def _cis(ph) -> np.ndarray:
     every finite ph, however large: np.exp(2j * np.pi * ph) rounds 2 pi ph
     first and is off by about 1e-11 at |ph| ~ 1.6e4.  Non-finite phases give
     NaN (the index of a NaN wraps into the table; the NaN flows through r).
-    Runs in passes of _CIS_BLOCK elements over preallocated scratch.
+    Runs in passes of _CIS_BLOCK elements over the thread's scratch
+    (`_cis_scratch`); only the result is allocated.
     """
     ph = np.asarray(ph, dtype=float)
     flat = ph.ravel()
     n = flat.size
     out = np.empty(n, dtype=complex)
-    m = max(1, min(n, _CIS_BLOCK))
-    y, k, t2, tmp = (np.empty(m) for _ in range(4))
-    idx = np.empty(m, dtype=np.int64)
-    base = np.empty(m, dtype=complex)
-    w = np.empty(m, dtype=complex)
+    y, tmp, t2, idx, w = _cis_scratch()
     w_re, w_im = w.real, w.imag
     with np.errstate(invalid="ignore"):         # NaN and inf cast to the index
-        for lo in range(0, n, m):
-            b = min(m, n - lo)
-            yb, kb, t2b, tb, ib, wb = y[:b], k[:b], t2[:b], tmp[:b], idx[:b], w[:b]
+        for lo in range(0, n, _CIS_BLOCK):
+            b = min(_CIS_BLOCK, n - lo)
+            yb, tb, t2b, ib, wb, ob = y[:b], tmp[:b], t2[:b], idx[:b], w[:b], out[lo:lo + b]
             np.multiply(flat[lo:lo + b], float(_CIS_STEPS), out=yb)
-            np.rint(yb, out=kb)
-            yb -= kb
+            np.rint(yb, out=tb)                 # k
+            yb -= tb
+            np.copyto(ib, tb, casting="unsafe")
+            ib &= _CIS_STEPS - 1
             yb *= 2.0 * np.pi / _CIS_STEPS      # theta = 2 pi r
             np.multiply(yb, yb, out=t2b)
             np.multiply(t2b, 1.0 / 24.0, out=tb)
@@ -155,10 +177,8 @@ def _cis(ph) -> np.ndarray:
             tb *= t2b
             tb += 1.0
             np.multiply(tb, yb, out=w_im[:b])   # sin theta
-            np.copyto(ib, kb, casting="unsafe")
-            ib &= _CIS_STEPS - 1
-            np.take(_CIS_TABLE, ib, out=base[:b], mode="clip")
-            np.multiply(base[:b], wb, out=out[lo:lo + b])
+            np.take(_CIS_TABLE, ib, out=ob, mode="clip")
+            ob *= wb
     return out.reshape(ph.shape)
 
 
@@ -292,30 +312,66 @@ def _progression_split(phi: np.ndarray) -> int | None:
     return b
 
 
-def _progression_values(phi: np.ndarray, amps: np.ndarray, b: int,
-                        X: np.ndarray) -> np.ndarray:
-    """amps[k] e(x.phi[k]) for the rows of an exact progression (see
-    `_progression_split`): (n, B).  The phase is c0 + k c1 with c0 = x.phi[0]
-    and c1 = x.(phi[1] - phi[0]), so value k = amps[k] O[k // b] I[k % b]
-    with I[i] = e(c0 + i c1) and O[j] = e(j b c1): b + ceil(n/b) e(.) calls
-    per sample instead of n, and no recurrence.  Equal amplitudes are folded
-    into I."""
-    n, batch = phi.shape[0], X.shape[0]
+def _progression_factors(phi: np.ndarray, b: int,
+                         X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(O, I) of the rows of an exact progression (see `_progression_split`):
+    e(x.phi[k]) = O[k // b] I[k % b], with (ceil(n/b), B) and (b, B) tables.
+    The phase is c0 + k c1 with c0 = x.phi[0] and c1 = x.(phi[1] - phi[0]),
+    so O[j] = e(j b c1) and I[i] = e(c0 + i c1): b + ceil(n/b) e(.) calls
+    per sample instead of n, in one call of `_cis`, and no recurrence."""
+    n = phi.shape[0]
     c0 = X @ phi[0]
     c1 = X @ (phi[1] - phi[0])
-    inner = _cis(c0 + np.multiply.outer(np.arange(b, dtype=float), c1))
-    constant = bool(np.all(amps == amps[0]))
-    if constant:
-        inner *= amps[0]
-    outer = _cis(np.multiply.outer(np.arange(0, n, b, dtype=float), c1))
-    out = np.empty((n, batch), dtype=complex)
-    full = n // b
-    np.multiply(outer[:full, None], inner, out=out[:full * b].reshape(full, b, batch))
-    if full * b < n:
-        np.multiply(outer[full], inner[:n - full * b], out=out[full * b:])
-    if not constant:
-        out *= amps[:, None]
+    rows = -(-n // b)
+    phase = np.empty((rows + b, X.shape[0]))
+    np.multiply.outer(np.arange(0, n, b, dtype=float), c1, out=phase[:rows])
+    np.multiply.outer(np.arange(b, dtype=float), c1, out=phase[rows:])
+    phase[rows:] += c0
+    both = _cis(phase)
+    return both[:rows], both[rows:]
+
+
+def _row_runs(rows: np.ndarray, cols: np.ndarray, shape: tuple) -> list[tuple]:
+    """(left row, its cells, their right rows) for each of the shape[0] left
+    rows, each holding a cell, with the cells as a slice when they are
+    contiguous and the right rows as a slice when they are contiguous and
+    ascending: the loop of `_rank_one_values`."""
+    runs = []
+    for r in range(shape[0]):
+        at = np.flatnonzero(rows == r)
+        cr = cols[at]
+        if np.array_equal(cr, np.arange(shape[1])):
+            cr = slice(None)
+        elif np.array_equal(cr, np.arange(cr[0], cr[0] + len(cr))):
+            cr = slice(int(cr[0]), int(cr[0]) + len(cr))
+        if at[-1] - at[0] + 1 == len(at):
+            at = slice(int(at[0]), int(at[-1]) + 1)
+        runs.append((r, at, cr))
+    return runs
+
+
+def _rank_one_values(left: np.ndarray, right: np.ndarray, runs: list[tuple],
+                     coeffs: np.ndarray | None, n: int) -> np.ndarray:
+    """(n, B) cell values coeffs[k] left[row k] right[col k], as
+    `OuterBlock.dense` gives them bit for bit, but one broadcast multiply
+    per left row (`_row_runs`) into the result, with no gathered table."""
+    out = np.empty((n, left.shape[1]), dtype=complex)
+    for r, at, cr in runs:
+        if isinstance(at, slice):
+            np.multiply(left[r], right[cr], out=out[at])
+        else:
+            out[at] = left[r] * right[cr]
+    if coeffs is not None:
+        out *= coeffs[:, None]
     return out
+
+
+def _sample_batch(X) -> np.ndarray:
+    """X as a (B, dim) float array of finite points."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite evaluation point")
+    return X
 
 
 def nodes_for_cycles(cycles: float, factor: int = 1) -> int:
@@ -634,13 +690,19 @@ class ExtensionEvaluator:
         self.x_max = float(x_max)
         self.node_samples = 0
         self._mode = None
+        self.factor_layout = None
         if amp_field.mode == "atomic":
             self._mode = "atomic"
             self._phase = amp_field.points_phase(surface)      # (n, 4)
             self._amps = amp_field.amplitudes
-            self._nodes_per_sample = self._amps.shape[0]
+            n = self._amps.shape[0]
+            self._nodes_per_sample = n
             self._split = _progression_split(self._phase)
             self.cells = None
+            if self._split is not None:
+                b, k = self._split, np.arange(n)
+                amps = None if np.all(self._amps == self._amps[0]) else self._amps
+                self._set_layout(k // b, k % b, amps, (-(-n // b), b))
             return
         self.cells = amp_field.cells
         split = surface.phase_split()
@@ -679,19 +741,14 @@ class ExtensionEvaluator:
             AxisFactor(ti, side, self.x_max, bound, f.node_factor, f.g1, split[0], 0, quad_t),
             AxisFactor(sj, side, self.x_max, bound, f.node_factor, f.g2, split[1], 1, quad_s)]
         self._nodes_per_sample = int(self._factors[0].nodes[0]) * (len(ti) + len(sj))
-        # Cell values go one row of cells at a time: (cells of the row, as a
-        # slice when they are contiguous; their columns, a slice when they
-        # are every column in order).
-        self._row_cells = []
-        for r in range(len(ti)):
-            at = np.flatnonzero(cell_rows == r)
-            cols = cell_cols[at]
-            if np.array_equal(cols, np.arange(len(sj))):
-                cols = slice(None)
-            if at[-1] - at[0] + 1 == len(at):
-                at = slice(int(at[0]), int(at[-1]) + 1)
-            self._row_cells.append((r, at, cols))
-        self._unit_coeffs = bool(np.all(f.coeffs == 1))
+        coeffs = None if np.all(f.coeffs == 1) else f.coeffs
+        self._set_layout(cell_rows, cell_cols, coeffs, (len(ti), len(sj)))
+
+    def _set_layout(self, rows, cols, coeffs, shape):
+        """The rank-one cells' layout (`factors`) and the per-row loop that
+        materialises them."""
+        self.factor_layout = (rows, cols, coeffs, shape)
+        self._runs = _row_runs(rows, cols, shape)
 
     def _build_quadratic(self):
         # Cells share one level, so one local Gauss grid u = v (offsets from
@@ -809,17 +866,39 @@ class ExtensionEvaluator:
 
     # -- evaluation ---------------------------------------------------------
 
-    def cell_values(self, X) -> np.ndarray:
-        """Extension of each cell restriction at the sample batch X."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if not np.all(np.isfinite(X)):
-            raise ValueError("non-finite evaluation point")
+    def factors(self, X) -> tuple:
+        """(left, right, rows, cols, coeffs) of the rank-one cells at the
+        sample batch X: cell k is coeffs[k] left[rows[k]] right[cols[k]]
+        (coeffs None: 1).  On the separable engine left and right are the
+        (t rows, B) and (s rows, B) 1-D factor sums and coeffs the field's
+        (None when all are 1); on progression atoms (`_progression_factors`)
+        they are O and I, rows k // b, cols k % b, and coeffs the amplitudes
+        (None when they are equal, folded into I).  factor_layout holds
+        (rows, cols, coeffs, (len(left), len(right))), or None for the
+        engines without rank-one cells, which raise here."""
+        if self.factor_layout is None:
+            raise ValueError(f"the {self._mode} engine has no rank-one factors")
+        X = _sample_batch(X)
         if self._mode == "separable":
-            return self._separable_values(X)
+            (left, work_t), (right, work_s) = (factor.sums(X) for factor in self._factors)
+            self.node_samples += work_t + work_s
+        else:
+            self.node_samples += self._nodes_per_sample * X.shape[0]
+            left, right = _progression_factors(self._phase, self._split, X)
+            if self.factor_layout[2] is None:
+                right *= self._amps[0]
+        return (left, right, *self.factor_layout[:3])
+
+    def cell_values(self, X) -> np.ndarray:
+        """Extension of each cell restriction at the sample batch X.  Rank-one
+        cells are the product of their `factors`, one broadcast multiply per
+        left row, then the coefficients."""
+        if self.factor_layout is not None:
+            left, right, _, _, coeffs = self.factors(X)
+            return _rank_one_values(left, right, self._runs, coeffs, self.n_cells)
+        X = _sample_batch(X)
         self.node_samples += self._nodes_per_sample * X.shape[0]
         if self._mode == "atomic":
-            if self._split is not None:
-                return _progression_values(self._phase, self._amps, self._split, X)
             vals = _cis(self._phase @ X.T)
             vals *= self._amps[:, None]
             return vals
@@ -833,22 +912,6 @@ class ExtensionEvaluator:
             amp = self.field.amplitude_on_cell(k, tn, sn) * wn
             psi = self.surface.value(tn, sn)
             out[k] = _node_sum(amp, lambda blk, psi=psi: psi[blk] @ X.T, X.shape[0])
-        return out
-
-    def _separable_values(self, X: np.ndarray) -> np.ndarray:
-        """coeff ft[i] fs[j] per cell (i, j), one broadcast multiply per row
-        of cells into one (cells, B) array; unit coefficients (x 1 is exact)
-        are not multiplied."""
-        (ft, work_t), (fs, work_s) = (factor.sums(X) for factor in self._factors)
-        self.node_samples += work_t + work_s
-        out = np.empty((len(self.field.cells), X.shape[0]), dtype=complex)
-        for r, at, cols in self._row_cells:
-            if isinstance(at, slice):
-                np.multiply(ft[r], fs[cols], out=out[at])
-            else:
-                out[at] = ft[r] * fs[cols]
-        if not self._unit_coeffs:
-            out *= self.field.coeffs[:, None]
         return out
 
     def total(self, X) -> np.ndarray:
@@ -881,9 +944,7 @@ def extension_value(surface: SurfaceEvaluator, amp_field: AmplitudeField, x) -> 
     """E g at one or several frequency points (convenience wrapper)."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    if not np.all(np.isfinite(xb)):
-        raise ValueError("non-finite evaluation point")
+    xb = _sample_batch(x)
     ev = ExtensionEvaluator(surface, amp_field, float(np.abs(xb).max()))
     out = ev.total(xb)
     return complex(out[0]) if single else out

@@ -20,7 +20,7 @@ about mass spread over the full ball, which the strict paper-form weight
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
@@ -32,7 +32,8 @@ from .fields import (AmplitudeField, AxisFactor, ExtensionEvaluator, LineEvaluat
 from .geometry import (CurveEvaluator, QuadCoeffs, SurfaceEvaluator, curve_lift,
                        moment_curve, quad_surface)
 from .grid import CapPartition, DyadicSquare, cap_level_for, square_at
-from .norms import BallSpec, NormEstimate, Sampler, sphere_area, weighted_norm_batch
+from .norms import (BallSpec, NormEstimate, OuterBlock, Sampler, sphere_area,
+                    weighted_norm_batch)
 from .transversality import min_abs_form
 
 DEFAULT_DECAY = 100.0
@@ -173,16 +174,17 @@ def _rhs(q: float, scale: float = 1.0) -> Callable:
 class _CapGroups:
     """Maps evaluator cells (or atomic points) onto measurement caps.
 
-    When the cell -> cap index is non-decreasing and no cap is empty (as for
-    flat-line atoms, and for strip and indicator cells, whose caps are their
-    cells), the cap values are folded into the first rows of the new array
-    that `cell_values` returns: the cells of each cap are added, in cell
-    order, into the cap's first cell, and the cap sums then move down to
-    rows 0..caps-1 by contiguous copies.  No second (caps, B) table is
-    made.  Other fields are gathered into a new array: each cap takes its
-    first cell, the caps holding several cells add the rest in cell order,
-    one cell per cap per round, and empty caps read 0.  Both orders are an
-    in-order scatter-add's, bit for bit."""
+    On rank-one cells (`ExtensionEvaluator.factors`) `cap_rows` never builds
+    the (cells, B) table: a run of one-cell caps is an `OuterBlock` with its
+    coefficient matrix C built here once, and other caps (several cells, as
+    flat-line's last, or none) are dense rows.  Other evaluators take
+    `dense_rows`: with the cells in cap order and no empty cap, each cap's
+    cells are added in cell order into its first cell's row of the new
+    `cell_values` array, and the cap sums move down to rows 0..caps-1 by
+    contiguous copies; other fields are gathered into a new array, each cap
+    taking its first cell and then the rest in cell order, one per round,
+    and empty caps reading 0.  Both are an in-order scatter-add, bit for
+    bit."""
 
     def __init__(self, ev: ExtensionEvaluator, caps: Sequence[DyadicSquare]):
         self.ev = ev
@@ -220,6 +222,24 @@ class _CapGroups:
                      for lo, hi in zip(np.r_[0, cut], np.r_[cut, len(self.caps)])
                      if shift[lo]]
             self._fold = (adds, moves)
+        self._runs = ev.factor_layout and self._factor_runs(counts, order, starts)
+
+    def _factor_runs(self, counts, order, starts) -> list:
+        """Per run of caps in cap order: (its cells as a table-less `OuterBlock`,
+        with C if the caps hold one cell each; else the cells' caps; cap count)."""
+        rows, cols, coeffs, shape = self.ev.factor_layout
+        single = counts == 1
+        cut = np.flatnonzero(np.diff(single)) + 1
+        runs = []
+        for lo, hi in zip(np.r_[0, cut], np.r_[cut, len(self.caps)]):
+            cells = order[starts[lo]:starts[hi - 1] + counts[hi - 1]]
+            k = None if coeffs is None else coeffs[cells]
+            block = OuterBlock(None, None, rows[cells], cols[cells], k)
+            if single[lo]:
+                block = replace(block, matrix=np.zeros(shape, dtype=complex))
+                block.matrix[block.rows, block.cols] = 1.0 if k is None else k
+            runs.append((block, None if single[lo] else self.index[cells] - lo, hi - lo))
+        return runs
 
     def gather(self, cell_vals: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Writes the (caps, B) sums of the (cells, B) cell values to out."""
@@ -230,7 +250,23 @@ class _CapGroups:
             out[caps] += cell_vals[cells]
         return out
 
-    def cap_rows(self, x_batch) -> np.ndarray:
+    def cap_rows(self, x_batch) -> list:
+        """The cap values on the batch as row blocks in cap order (see the
+        class docstring); dense rows are an in-order scatter-add."""
+        if self._runs is None:
+            return [self.dense_rows(x_batch)]
+        left, right = self.ev.factors(x_batch)[:2]
+        out = []
+        for block, at, n_caps in self._runs:
+            block = replace(block, left=left, right=right)
+            if at is not None:
+                vals = np.zeros((n_caps, left.shape[1]), dtype=complex)
+                np.add.at(vals, at, block.dense())
+                block = vals
+            out.append(block)
+        return out
+
+    def dense_rows(self, x_batch) -> np.ndarray:
         """(caps, B): the cap values on the batch, folded into the cell
         values' own array when the caps allow it, else gathered."""
         # cell_values returns a new array, which the fold may overwrite
@@ -266,14 +302,30 @@ def _cap_source(surface: SurfaceEvaluator, field_in: AmplitudeField,
 # the measurement core
 
 
-def _total(caps: np.ndarray) -> np.ndarray:
-    """E g: the sum of the cap rows."""
-    return caps.sum(axis=0)
+def _blocks(caps) -> list:
+    """A source's cap values as a list of row blocks."""
+    return [caps] if isinstance(caps, np.ndarray) else caps
 
 
-def _geometric_mean(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+def _cap_sums(caps, dense: Callable, factored: Callable) -> np.ndarray:
+    """Sum of dense(block), factored(block) on an `OuterBlock`, over blocks."""
+    parts = [factored(b) if isinstance(b, OuterBlock) else dense(b) for b in _blocks(caps)]
+    return sum(parts[1:], parts[0])
+
+
+def _total(caps) -> np.ndarray:
+    """E g: the sum of the caps."""
+    return _cap_sums(caps, lambda v: v.sum(axis=0), OuterBlock.total)
+
+
+def _square_sum(caps) -> np.ndarray:
+    """The sum of |cap|^2."""
+    return _cap_sums(caps, lambda v: (np.abs(v) ** 2).sum(axis=0), OuterBlock.abs2_total)
+
+
+def _geometric_mean(v1, v2) -> np.ndarray:
     """|E1 E2|^{1/2} from the cap rows of the two pieces."""
-    return np.sqrt(np.abs(v1.sum(axis=0) * v2.sum(axis=0)))
+    return np.sqrt(np.abs(_total(v1) * _total(v2)))
 
 
 def _measure(make_sources: Callable, lhs: Callable, rhs: Callable, p: float, p_caps: float,
@@ -283,12 +335,13 @@ def _measure(make_sources: Callable, lhs: Callable, rhs: Callable, p: float, p_c
     """One measurement cell, on common random numbers.
 
     make_sources(x_max) builds the cap sources, resolved for samples within
-    x_max in sup norm: (rows, count) pairs, rows(x_batch) giving a (count, B)
-    block of cap values.  lhs(*blocks) is the left-hand integrand, normed in L^p,
-    and every cap is normed in L^p_caps.  rhs(values, stderrs), one array of
-    cap norms per source, returns (rhs_lp, se_lp, rhs_l2 or None): a `_rhs`
-    combiner.  The ball defaults to the measurement ball of radius N in
-    R^dim, the cap level to N's and caps_total to the number of caps measured."""
+    x_max in sup norm: (rows, count) pairs, rows(x_batch) giving the cap
+    values as a (count, B) array or a list of row blocks (`_CapGroups`).
+    lhs(*caps) is the left-hand integrand, normed in L^p, and every cap is
+    normed in L^p_caps.  rhs(values, stderrs), one array of cap norms per
+    source, returns (rhs_lp, se_lp, rhs_l2 or None): a `_rhs` combiner.
+    The ball defaults to the measurement ball of radius N in R^dim, the cap
+    level to N's and caps_total to the number of caps measured."""
     t0 = time.perf_counter()
     ball = ball or measurement_ball(dim, n_scale)
     if ball.dim != dim:
@@ -296,8 +349,8 @@ def _measure(make_sources: Callable, lhs: Callable, rhs: Callable, p: float, p_c
     sources = make_sources(_x_max(ball))
 
     def series(x_batch):
-        blocks = [rows(x_batch) for rows, _ in sources]
-        return (lhs(*blocks), *blocks)
+        caps = [rows(x_batch) for rows, _ in sources]
+        return (lhs(*caps), *(b for c in caps for b in _blocks(c)))
 
     counts = [count for _, count in sources]
     ests = weighted_norm_batch(series, ball, [p] + [p_caps] * sum(counts), sampler)
@@ -383,7 +436,7 @@ def measure_square_function(surface: SurfaceEvaluator,
     make_sources, min_form = _pair_sources(surface, field1, r1, field2, r2, n_scale, nu)
 
     def lhs(v1, v2):
-        return ((np.abs(v1) ** 2).sum(axis=0) * (np.abs(v2) ** 2).sum(axis=0)) ** 0.25
+        return (_square_sum(v1) * _square_sum(v2)) ** 0.25
 
     return _measure(make_sources, lhs, _rhs(2, float(n_scale) ** (-4.0 / p)), p, p / 2,
                     sampler, ball, kind="square-function", n_scale=n_scale,

@@ -12,13 +12,19 @@ Radii come from the radial CDF (tabulated at 2^14 + 1 knots) by a cached
 inverse lookup that reproduces np.interp bit for bit: a table of 2^14 equal
 buckets of [0, 1) gives each draw its knot after one refinement step, and
 np.searchsorted takes the few draws whose bucket holds more than one knot.
-Each chunk goes to the integrand evaluator in sub-batches whose series table
-holds at most _SERIES_BLOCK values (or 256 samples' worth), dropped before
-the next call, so memory stays bounded whatever the series count.  Within a
+Each chunk goes to the integrand evaluator in sub-batches whose tables hold
+at most _SERIES_BLOCK values (or 256 samples' worth), dropped before the
+next call, so memory stays bounded whatever the series count.  The first
+call is sized by the series count; later ones by the rows the evaluator
+materialises, where a block of rank-one series (`OuterBlock`, series k =
+coeff_k L[row_k] R[col_k]) counts only its two factor tables.  Within a
 sub-batch, the sums of |F|^p w/q and its square go over cache-sized blocks
-of series rows, each a matrix-vector product against w/q and its square,
-and a block whose series share an integer exponent raises by repeated
-multiplication instead of pow.  Exponents are finite and at least 1.
+of dense series rows, each a matrix-vector product against w/q and its
+square, and a block whose series share an integer exponent raises by
+repeated multiplication instead of pow.  An `OuterBlock`'s sums are entries
+of two small matrix products of its factors' powers, |coeff L R|^p =
+|coeff|^p |L|^p |R|^p, and a batch they cannot sum finitely goes again on
+dense rows.  Exponents are finite and at least 1.
 """
 
 from __future__ import annotations
@@ -352,18 +358,93 @@ class NormEstimate:
 # Elements of |F| per accumulation block: a block of series rows of the
 # sub-batch and its powers stay in a 2 MB L2 cache (8 rows of 4096 samples).
 _ACCUM_BLOCK = 2 ** 15
-# Elements of F per evaluator call: each chunk goes to the evaluator in
-# sub-batches of a power of two samples (at least 256), so the series table
-# it returns stays within 4 MB of complex values, or 256 samples' worth.
+# Elements per evaluator call: each chunk goes to the evaluator in
+# sub-batches of a power of two samples (at least 256), so the rows it
+# materialises stay within 4 MB of complex values, or 256 samples' worth.
 _SERIES_BLOCK = 2 ** 18
 _MIN_SUB_BATCH = 256
 
 
-def _sub_batch(chunk: int, series: int) -> int:
-    """Samples per evaluator call: the whole chunk when its table fits in
-    _SERIES_BLOCK elements, else the largest power of two b with
-    b * series <= _SERIES_BLOCK, but at least _MIN_SUB_BATCH."""
-    fit = _SERIES_BLOCK // max(series, 1)
+@dataclass(frozen=True, eq=False)
+class OuterBlock:
+    """A block of rank-one series given by two factor tables: series k is
+    coeffs[k] left[rows[k]] right[cols[k]] (coeffs None: 1), with left and
+    right (rows, B) complex tables.  matrix is the (len(left), len(right))
+    coefficient matrix C, C[rows[k], cols[k]] = coeffs[k] and 0 elsewhere,
+    which the sums over the series read; blocks that are only normed may
+    leave it None."""
+
+    left: np.ndarray
+    right: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    coeffs: np.ndarray | None = None
+    matrix: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def elements(self) -> int:
+        """Rows the block materialises per sample: its two factor tables."""
+        return len(self.left) + len(self.right)
+
+    def dense(self) -> np.ndarray:
+        """The (series, B) table, each row (left * right) * coeff."""
+        out = self.left[self.rows]
+        out *= self.right[self.cols]
+        if self.coeffs is not None:
+            out *= self.coeffs[:, None]
+        return out
+
+    def total(self) -> np.ndarray:
+        """The sum of the series: sum_r left_r (C right)_r."""
+        out = self.matrix @ self.right
+        out *= self.left
+        return out.sum(axis=0)
+
+    def abs2_total(self) -> np.ndarray:
+        """The sum of |series|^2: sum_r |left_r|^2 (|C|^2 |right|^2)_r."""
+        out = _abs2(self.matrix) @ _abs2(self.right)
+        out *= _abs2(self.left)
+        return out.sum(axis=0)
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 as re^2 + im^2."""
+    out = z.real * z.real
+    out += z.imag * z.imag
+    return out
+
+
+def _abs_power(z: np.ndarray, p: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|z|^p of a complex z into one of the real tables a and b (of z's
+    shape), which it returns: |z|^2 = re^2 + im^2, raised to p/2 by
+    multiplication when p is even, else its sqrt raised to p, by
+    multiplication when p is an integer and np.power otherwise."""
+    np.multiply(z.real, z.real, out=a)
+    np.multiply(z.imag, z.imag, out=b)
+    a += b
+    if p % 2 == 0:
+        return _int_power(a, int(p) // 2, b)
+    np.sqrt(a, out=a)
+    if p == int(p):
+        return _int_power(a, int(p), b)
+    return np.power(a, p, out=a)
+
+
+def _elements(blocks) -> int:
+    """Rows an evaluator's blocks materialise per sample: a dense block's
+    rows, a factored block's two factor tables."""
+    return sum(b.elements if isinstance(b, OuterBlock) else len(b) for b in blocks)
+
+
+def _sub_batch(chunk: int, rows: int) -> int:
+    """Samples per evaluator call for rows materialised per sample: the
+    whole chunk when its table fits in _SERIES_BLOCK elements, else the
+    largest power of two b with b * rows <= _SERIES_BLOCK, but at least
+    _MIN_SUB_BATCH."""
+    fit = _SERIES_BLOCK // max(rows, 1)
     if chunk <= fit:
         return chunk
     return min(chunk, max(_MIN_SUB_BATCH, 1 << max(fit.bit_length() - 1, 0)))
@@ -383,75 +464,167 @@ def _int_power(a: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_blocks(out) -> list[np.ndarray]:
-    """An evaluator's output as a list of 2-D blocks of series rows: a bare
-    array is one block, a sequence gives its blocks in order, and a 1-D
-    array or block is one row."""
-    blocks = [out] if isinstance(out, np.ndarray) else list(out)
-    return [b[None, :] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
+def _row_blocks(out) -> list:
+    """An evaluator's output as a list of blocks of series rows: a bare
+    array or `OuterBlock` is one block, a sequence gives its blocks in
+    order, and a 1-D array is one row."""
+    blocks = [out] if isinstance(out, (np.ndarray, OuterBlock)) else list(out)
+    blocks = [b if isinstance(b, OuterBlock) else np.asarray(b) for b in blocks]
+    return [b[None, :] if isinstance(b, np.ndarray) and b.ndim == 1 else b
+            for b in blocks]
+
+
+def _outer_sums(blk: OuterBlock, by_p, step: int, scratch, iw: np.ndarray,
+                c1: np.ndarray, c2: np.ndarray) -> None:
+    """The two sums of an `OuterBlock`'s series, into c1 and c2: for each
+    exponent p and its series `at`, the entries (row, col) of
+    (|L|^p w/q) |R|^p^T and (|L|^p w/q)^2 (|R|^p)^2^T summed over blocks of
+    step samples, through the scratch tables (two per factor), times
+    |coeff|^p and |coeff|^2p."""
+    la, lb, ra, rb = scratch
+    for p, at in by_p:
+        m1 = m2 = 0.0
+        for a in range(0, len(iw), step):
+            e = min(a + step, len(iw))
+            lp = _abs_power(blk.left[:, a:e], p, la[:, :e - a], lb[:, :e - a])
+            rp = _abs_power(blk.right[:, a:e], p, ra[:, :e - a], rb[:, :e - a])
+            lp *= iw[a:e]                   # |L|^p w/q
+            m1 = m1 + lp @ rp.T
+            lp *= lp                        # |L|^2p (w/q)^2
+            rp *= rp
+            m2 = m2 + lp @ rp.T
+        rows, cols = blk.rows[at], blk.cols[at]
+        c1[at] = m1[rows, cols]
+        c2[at] = m2[rows, cols]
+        if blk.coeffs is not None:
+            k = blk.coeffs[at]
+            kp = _abs_power(k, p, np.empty(k.shape), np.empty(k.shape))
+            c1[at] *= kp
+            kp *= kp
+            c2[at] *= kp
 
 
 class _Accumulator:
     """Per-series sums of |F|^p w/q and its square, over batches of at most
-    n samples whose series rows come in blocks of the given sizes.
+    n samples whose series come in blocks of the kinds and sizes of the
+    first batch's.
 
-    Series rows go max(1, _ACCUM_BLOCK // n) at a time through two scratch
-    tables allocated once, so no temporary grows with the series count; a
-    group of rows that spans several input blocks is filled from each in
-    turn, and no sum depends on where the input blocks split.  A group
+    Dense series rows go max(1, _ACCUM_BLOCK // n) at a time through two
+    scratch tables allocated once, so no temporary grows with the series
+    count; a group of rows that spans several dense blocks is filled from
+    each in turn, and no sum depends on where the blocks split.  A group
     whose series share an integer exponent raises by multiplication; other
     groups (mixed or non-integer p) use np.power.  Each group's two sums
-    are one matrix-vector product each, against w/q and its square."""
+    are one matrix-vector product each, against w/q and its square.
 
-    def __init__(self, ps: Sequence[float], sizes: Sequence[int], n: int):
-        nser = len(ps)
+    An `OuterBlock` is summed on its factors: |coeff L R|^p =
+    |coeff|^p |L|^p |R|^p, so for each exponent its series' two sums are
+    entries of (|L|^p w/q) |R|^p^T and (|L|^2p (w/q)^2) |R|^2p^T, scaled by
+    |coeff|^p and |coeff|^2p.  The products go over blocks of samples whose
+    factor rows hold _ACCUM_BLOCK elements, through two scratch tables per
+    factor allocated once.  A batch whose sums are not all finite is
+    summed again on dense rows (`OuterBlock.dense`): that names the first
+    non-finite (series, sample) as a dense batch would, or, when every
+    dense value is finite (a factor alone overflowed), sums the batch
+    densely."""
+
+    def __init__(self, ps: Sequence[float], blocks: Sequence, n: int):
+        self.ps, self.n = ps, n
         ps = np.asarray(ps)
-        bounds = np.cumsum([0, *sizes])
+        bounds = np.cumsum([0, *(len(b) for b in blocks)])
+        self.outer = []     # (block, first and end series, by p, samples per step, scratch)
+        dense = []                      # (block, first series, first dense row)
+        nd = 0
+        for k, blk in enumerate(blocks):
+            lo, hi = int(bounds[k]), int(bounds[k + 1])
+            if isinstance(blk, OuterBlock):
+                pb = ps[lo:hi]
+                by_p = [(p, slice(None) if np.all(pb == p) else np.flatnonzero(pb == p))
+                        for p in sorted(set(pb.tolist()))]
+                step = min(n, max(1, _ACCUM_BLOCK // blk.elements))
+                scratch = [np.empty((len(f), step)) for f in (blk.left, blk.left,
+                                                              blk.right, blk.right)]
+                self.outer.append((k, lo, hi, by_p, step, scratch))
+            else:
+                dense.append((k, lo, nd))
+                nd += hi - lo
+        # the dense rows, numbered in series order without the factored ones
+        self.full = np.concatenate([np.arange(lo, lo + len(blocks[k]))
+                                    for k, lo, _ in dense] or [np.zeros(0, int)])
+        dps = ps[self.full]
         self.rows = max(1, _ACCUM_BLOCK // n)
         self.blocks = []
-        for lo in range(0, nser, self.rows):
-            hi = min(lo + self.rows, nser)
-            pb = ps[lo:hi]
+        for lo in range(0, nd, self.rows):
+            hi = min(lo + self.rows, nd)
+            pb = dps[lo:hi]
             same = np.all(pb == pb[0]) and pb[0] == int(pb[0])
             # (input block, its first and end row, first scratch row)
-            segs = [(k, max(lo, s) - s, min(hi, e) - s, max(lo, s) - lo)
-                    for k, (s, e) in enumerate(zip(bounds[:-1], bounds[1:]))
-                    if max(lo, s) < min(hi, e)]
+            segs = [(k, max(lo, d) - d, min(hi, d + len(blocks[k])) - d, max(lo, d) - lo)
+                    for k, _, d in dense if max(lo, d) < min(hi, d + len(blocks[k]))]
             self.blocks.append((lo, hi, segs, int(pb[0]) if same else pb[:, None]))
-        self.mag = np.empty((min(self.rows, nser), n))
+        self.mag = np.empty((min(self.rows, nd), n))
         self.powed = np.empty_like(self.mag)
+        nser = len(ps)
         self.s1, self.s2 = np.zeros(nser), np.zeros(nser)
         self._c1, self._c2 = np.empty(nser), np.empty(nser)
+        self._d1, self._d2 = np.empty(nd), np.empty(nd)
+        self._dense_fallback = None
 
-    def add(self, blocks: Sequence[np.ndarray], iw: np.ndarray, x: np.ndarray) -> None:
+    def add(self, blocks: Sequence, iw: np.ndarray, x: np.ndarray) -> None:
         """Adds one batch of values F at the points x with importance
-        weights iw: the (rows, n) blocks of series, in series order.  The
-        blocks are only read.  A non-finite |F| raises
+        weights iw: the blocks of series, in series order, as the first
+        batch's.  The blocks are only read.  A non-finite F raises
         PoisonedEstimateError for the first such (series, sample), before
         the batch reaches the sums."""
-        n = blocks[0].shape[1]
+        self._sums(blocks, iw)
+        # the terms are >= 0, so the total is finite unless a term is not
+        # (or the total overflows, which this check lets pass)
+        if not math.isfinite(self._c1.sum() + self._c2.sum()):
+            if self.outer:
+                dense = [b.dense() if isinstance(b, OuterBlock) else b for b in blocks]
+                if self._dense_fallback is None:
+                    self._dense_fallback = _Accumulator(self.ps, dense, self.n)
+                fallback = self._dense_fallback
+                fallback._sums(dense, iw)
+                fallback._check(dense, x)
+                self._c1[:], self._c2[:] = fallback._c1, fallback._c2
+            else:
+                self._check(blocks, x)
+        self.s1 += self._c1
+        self.s2 += self._c2
+
+    def _sums(self, blocks, iw) -> None:
+        """The batch's two sums per series, into _c1 and _c2."""
         iw2 = iw * iw
+        n = len(iw)
         for lo, hi, segs, p in self.blocks:
             mag = self._magnitudes(blocks, lo, hi, segs, n)
             if isinstance(p, int):
                 v = _int_power(mag, p, self.powed[:hi - lo, :n])
             else:
                 v = np.power(mag, p, out=self.powed[:hi - lo, :n])
-            np.dot(v, iw, out=self._c1[lo:hi])
+            np.dot(v, iw, out=self._d1[lo:hi])
             v *= v
-            np.dot(v, iw2, out=self._c2[lo:hi])
-        # the terms are >= 0, so the total is finite unless a term is not
-        # (or the total overflows, which this check lets pass)
-        if not math.isfinite(self._c1.sum() + self._c2.sum()):
-            for lo, hi, segs, _ in self.blocks:
-                bad = np.argwhere(~np.isfinite(self._magnitudes(blocks, lo, hi, segs, n)))
-                if len(bad):
-                    raise PoisonedEstimateError(x[bad[0][1]], lo + int(bad[0][0]))
-        self.s1 += self._c1
-        self.s2 += self._c2
+            np.dot(v, iw2, out=self._d2[lo:hi])
+        self._c1[self.full] = self._d1
+        self._c2[self.full] = self._d2
+        # a factor alone may overflow where every product is finite: add()
+        # then sums the batch again on dense rows
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for k, lo, hi, by_p, step, scratch in self.outer:
+                _outer_sums(blocks[k], by_p, step, scratch, iw,
+                            self._c1[lo:hi], self._c2[lo:hi])
+
+    def _check(self, blocks, x) -> None:
+        """Raises PoisonedEstimateError for the first non-finite |F| in
+        (series, sample) order of dense blocks, if there is one."""
+        for lo, hi, segs, _ in self.blocks:
+            bad = np.argwhere(~np.isfinite(self._magnitudes(blocks, lo, hi, segs, len(x))))
+            if len(bad):
+                raise PoisonedEstimateError(x[bad[0][1]], int(self.full[lo + bad[0][0]]))
 
     def _magnitudes(self, blocks, lo, hi, segs, n) -> np.ndarray:
-        """|F| of series rows lo:hi, in the first scratch table."""
+        """|F| of dense rows lo:hi, in the first scratch table."""
         mag = self.mag[:hi - lo, :n]
         for k, a, e, d in segs:
             np.abs(blocks[k][a:e], out=mag[d:d + e - a])
@@ -466,10 +639,14 @@ def weighted_norm_batch(evaluator: Callable[[np.ndarray], object],
 
     evaluator(X) returns the series on a batch X of shape (B, dim): an
     (n_series, B) array (complex or real), or a sequence of row blocks,
-    each (rows, B) or a single (B,) row, whose rows in order are the
-    series.  B is at most the sampler's chunk: each chunk goes to the
-    evaluator in sub-batches of at most _SERIES_BLOCK values (at least
-    256 samples), and each returned table is dropped before the next call.
+    each (rows, B), a single (B,) row or an `OuterBlock` of rank-one
+    series, whose rows in order are the series; every call gives blocks of
+    the same kinds and sizes.  B is at most the sampler's chunk: each chunk
+    goes to the evaluator in sub-batches, and each returned table is
+    dropped before the next call.  The first call takes as many samples as
+    fit _SERIES_BLOCK values of the series count (at least 256), which
+    bounds any table it returns; the later ones as many as fit the rows
+    that call materialised, an `OuterBlock` counting its two factor tables.
     All series share the sample set, so ratios of the returned values have
     strongly reduced variance.  Every exponent must be finite and >= 1:
     a ValueError names the first that is not, before any sample is drawn.
@@ -485,16 +662,19 @@ def weighted_norm_batch(evaluator: Callable[[np.ndarray], object],
     while tot < sampler.budget:
         n = min(sampler.chunk, sampler.budget - tot)
         x, iw = prop.sample(sampler.seed, k, n)
-        for lo in range(0, n, b):
+        lo = 0
+        while lo < n:
             xs = x[lo:lo + b]
             blocks = _row_blocks(evaluator(xs))
             if acc is None:
-                sizes = [len(blk) for blk in blocks]
-                if len(ps) != sum(sizes):
+                if len(ps) != sum(len(blk) for blk in blocks):
                     raise ValueError("one exponent per series required")
-                acc = _Accumulator(ps, sizes, min(n, b))
-            acc.add(blocks, iw[lo:lo + b], xs)
+                first = len(xs)
+                b = _sub_batch(sampler.chunk, _elements(blocks))
+                acc = _Accumulator(ps, blocks, min(n, max(first, b)))
+            acc.add(blocks, iw[lo:lo + len(xs)], xs)
             del blocks
+            lo += len(xs)
         tot += n
         k += 1
     tail = ball.truncation_tail_fraction()

@@ -10,6 +10,7 @@ verifies the Jacobian identity by finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,7 +265,7 @@ def transversality_graph(coeffs_or_form, K: int, nu: float | None = None,
     prediction uses only interval bounds on the eigen coordinates, mirroring
     the strip geometry of the counting argument.  Both depend on the pair
     only through the index offset, so the K^4 pairs reduce to a (2K-1)^2
-    offset grid.
+    offset grid.  nu must be finite and positive; it defaults to K^-2.
     """
     if K < 1 or (K & (K - 1)) != 0:
         raise ValueError("K must be a power of two")
@@ -272,6 +273,8 @@ def transversality_graph(coeffs_or_form, K: int, nu: float | None = None,
             else transversality_form(coeffs_or_form))
     if nu is None:
         nu = float(K) ** -2
+    if not (math.isfinite(nu) and nu > 0):
+        raise ValueError(f"nu must be finite and > 0, got {nu:g}")
     h = 1.0 / K
     off = np.arange(-(K - 1), K)
     di, dj = np.meshgrid(off, off, indexing="ij")

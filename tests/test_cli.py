@@ -146,9 +146,13 @@ def test_example_bad_input_is_a_config_error(capsys, argv):
     ["rescale-check", "--A", "1,0,0,0,0.5,0", "--R", "0.5,0.5,0.125", "--trials", "0"],
     ["exponents", "--p", "3"],
     ["exponents", "--p", "inf"],
+    ["exponents", "--p", "6.01", "--s", "1"],
+    ["transversality", "--A", "1,0,0,0,0,1", "--K", "8", "--nu=-1"],
+    ["transversality", "--A", "1,0,0,0,0,1", "--K", "8", "--nu", "nan"],
 ], ids=["transversality-K=12", "transversality-K=0", "rescale-delta=0",
         "rescale-delta<0", "rescale-b=nan", "rescale-trials=0", "exponents-p=3",
-        "exponents-p=inf"])
+        "exponents-p=inf", "exponents-s=1", "transversality-nu=-1",
+        "transversality-nu=nan"])
 def test_subcommand_bad_input_is_a_config_error(capsys, argv):
     rc = main(argv)
     assert rc == EXIT_SCHEMA

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -270,6 +271,31 @@ def test_cis_shapes_and_layouts():
         assert got.shape == view.shape
         np.testing.assert_array_equal(got, _cis(np.ascontiguousarray(view)))
         assert cis_error(view) <= CIS_TOL
+
+
+def test_cis_scratch_is_reused_per_thread():
+    # one scratch per thread, allocated once: concurrent calls on two
+    # threads give the serial values bit for bit, and a later call reuses
+    # the first call's tables
+    rng = np.random.default_rng(31)
+    phases = [rng.uniform(-1e4, 1e4, size=3 * _CIS_BLOCK + 5) for _ in range(2)]
+    want = [_cis(ph) for ph in phases]
+    first = fields_module._cis_scratch()
+    _cis(phases[0][:7])
+    assert all(a is b for a, b in zip(first, fields_module._cis_scratch()))
+    same, start = [[], []], threading.Barrier(2)
+
+    def run(k):
+        start.wait()
+        for _ in range(50):
+            same[k].append(_cis(phases[k]).tobytes() == want[k].tobytes())
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert all(same[0]) and all(same[1]) and len(same[0]) == len(same[1]) == 50
 
 
 def test_cis_nonfinite_phases_give_nan():

@@ -20,7 +20,7 @@ from declab.harness import (FLAT_LINE_COEFFS, SEPARABLE_COEFFS,
                             measure_trivial, measurement_ball,
                             parabola_reference, predicted_exponent, run_cell,
                             scenario)
-from declab.norms import Sampler, _MixtureProposal
+from declab.norms import OuterBlock, Sampler, _MixtureProposal
 
 SURF = quad_surface(SEPARABLE_COEFFS)
 
@@ -434,6 +434,11 @@ def test_run_cell_dispatch_all_kinds():
         assert np.isfinite(rep.ratio_lp)
 
 
+def materialised(blocks):
+    """The (caps, B) table of `_CapGroups.cap_rows`' row blocks."""
+    return np.concatenate([b.dense() if isinstance(b, OuterBlock) else b for b in blocks])
+
+
 def test_cap_groups_match_scatter_add_bit_for_bit():
     # 16 cells per cap over three caps and one cap without cells: the gather
     # must give np.add.at's sums exactly, and zeros for the empty cap
@@ -445,10 +450,12 @@ def test_cap_groups_match_scatter_add_bit_for_bit():
     x = np.random.default_rng(8).uniform(-6.0, 6.0, size=(64, 4))
     want = np.zeros((len(caps), len(x)), dtype=complex)
     np.add.at(want, groups.index, ev.cell_values(x))
-    got = groups.cap_rows(x)
+    got = groups.dense_rows(x)
     np.testing.assert_array_equal(got, want)
     empty = [k for k, c in enumerate(caps) if (c.i, c.j) == (1, 1)]
     assert np.all(got[empty] == 0)
+    # the rank-one path computes these caps' dense rows from the factors
+    np.testing.assert_array_equal(materialised(groups.cap_rows(x)), want)
 
 
 def test_default_and_refined_quadrature_agree_off_origin():
@@ -525,10 +532,61 @@ def test_cap_fold_matches_gather_bit_for_bit(name):
     x, _ = _MixtureProposal(ball, defensive=True).sample(3, 0, 1000)
     want = np.empty((1 + len(caps), len(x)), dtype=complex)
     np.sum(groups.gather(ev.cell_values(x), want[1:]), axis=0, out=want[0])
-    got = groups.cap_rows(x)
+    got = groups.dense_rows(x)
     assert got.shape == want[1:].shape and got.dtype == want.dtype
     assert harness._total(got).tobytes() == want[0].tobytes()
     assert np.ascontiguousarray(got).tobytes() == want[1:].tobytes()
+
+
+def factored_case(name):
+    """(measure, its kind's surface or None) of one rank-one case: measure()
+    runs the measurement and returns its report."""
+    sampler = small_sampler(seed=21, budget=5000)
+    if name.startswith(("indicator-", "flat-line-")):
+        kind, n = name.rsplit("-", 1)
+        return lambda: run_cell(ScenarioSpec(kind=kind, n_scale=float(n)), sampler)
+    if name == "random-phase":
+        return lambda: run_cell(ScenarioSpec(kind="random-phase", n_scale=256.0), sampler)
+    if name == "three-atoms-one-cap":
+        # progression atoms (0, k/8) with complex amplitudes: caps of 1, 2, 2
+        # and 3 atoms at level 2, so the blocks are a factored run and dense rows
+        pts = np.column_stack([np.zeros(8), np.arange(1, 9) / 8])
+        field = AmplitudeField.atomic(pts, np.exp(0.9j * np.arange(8)) * np.arange(2, 10))
+        surface = quad_surface(FLAT_LINE_COEFFS)
+        return lambda: measure_linear(surface, field, 16.0, 6.0, sampler, cap_level=2)
+    bundle = scenario(ScenarioSpec(kind="bilinear-pair", n_scale=64.0, nu=0.25))
+    # the pair's supports are partial grids of cells
+    measure = measure_bilinear if name == "bilinear-pair" else measure_square_function
+    return lambda: measure(bundle.surface, bundle.fields[0], bundle.squares[0],
+                           bundle.fields[1], bundle.squares[1], 64.0, 6.0, sampler, 0.25)
+
+
+@pytest.mark.parametrize("name", ["indicator-64", "indicator-1024", "random-phase",
+                                  "bilinear-pair", "square-function", "flat-line-64",
+                                  "flat-line-1024", "flat-line-16384",
+                                  "three-atoms-one-cap"])
+def test_factored_cap_norms_match_dense_rows(name, monkeypatch):
+    # the factored blocks against the same measurement on dense cap rows
+    measure = factored_case(name)
+    got = measure()
+    monkeypatch.setattr(_CapGroups, "cap_rows", lambda self, x: [self.dense_rows(x)])
+    want = measure()
+    assert got.lhs.value == pytest.approx(want.lhs.value, rel=1e-12, abs=0)
+    assert got.lhs.stderr == pytest.approx(want.lhs.stderr, rel=1e-12, abs=0)
+    np.testing.assert_allclose(got.per_cap, want.per_cap, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.per_cap_stderr, want.per_cap_stderr, rtol=1e-12, atol=0)
+    assert got.ratio_lp == pytest.approx(want.ratio_lp, rel=1e-12, abs=0)
+
+
+def test_factored_caps_take_outer_blocks():
+    # indicator caps are single cells; flat-line's last cap holds two atoms
+    for kind, n, dense in (("indicator", 64.0, []), ("flat-line", 1024.0, [1])):
+        bundle = scenario(ScenarioSpec(kind=kind, n_scale=n))
+        caps = harness._support_caps(bundle.fields[0], cap_level_for(n))
+        ev = extension_evaluator(bundle.surface, bundle.fields[0], 8.0)
+        blocks = _CapGroups(ev, caps).cap_rows(np.ones((4, 4)))
+        assert isinstance(blocks[0], OuterBlock) and len(blocks[0]) == len(caps) - len(dense)
+        assert [len(b) for b in blocks[1:]] == dense
 
 
 def test_flat_line_cap_fold_builds_no_second_table():
@@ -538,10 +596,10 @@ def test_flat_line_cap_fold_builds_no_second_table():
     ev, caps, _, ball = cap_case("flat-line-16384")
     groups = _CapGroups(ev, caps)
     x, _ = _MixtureProposal(ball, defensive=True).sample(3, 0, 4096)
-    groups.cap_rows(x)
+    groups.dense_rows(x)
     tracemalloc.start()
     try:
-        groups.cap_rows(x)
+        groups.dense_rows(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

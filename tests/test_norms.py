@@ -12,7 +12,7 @@ from declab.fields import AmplitudeField, extension_evaluator
 from declab.geometry import random_admissible, quad_surface
 from declab.grid import cap_level_for
 from declab.harness import ScenarioSpec, run_cell
-from declab.norms import (BallSpec, PoisonedEstimateError, Sampler,
+from declab.norms import (BallSpec, OuterBlock, PoisonedEstimateError, Sampler,
                           _MixtureProposal, sphere_area, weight_mass,
                           weighted_lp_norm, weighted_norm_batch)
 
@@ -466,6 +466,103 @@ def test_indicator_cell_memory_stays_within_one_sub_batch():
         tracemalloc.stop()
     assert rep.caps_total == 1024
     assert peak < SUB_BATCH_BOUND
+
+
+# -- factored (rank-one) series ----------------------------------------------
+
+# 13 rank-one series over 4 x 5 factor rows, with complex coefficients, after
+# one dense row: series 1 + k is COEFFS[k] left[ROWS[k]] right[COLS[k]]
+ROWS = np.array([0, 0, 1, 1, 1, 2, 2, 3, 3, 3, 0, 2, 3])
+COLS = np.array([0, 4, 1, 2, 3, 0, 4, 1, 2, 4, 2, 2, 0])
+COEFFS = np.exp(0.7j * np.arange(13)) * (1.0 + 0.1 * np.arange(13))
+OUTER_PS = [6.0] + [6.0] * 8 + [3.0] * 3 + [7.5] * 2
+
+
+def outer_series(X, scale=1.0, poison=None):
+    """[a dense row, an OuterBlock of 13 series]; scale multiplies the left
+    factor and divides the right one, poison = (row, sample) plants a NaN
+    in the left factor."""
+    rows = smooth_rows(X, 10)
+    left, right = rows[1:5] * scale, rows[5:] / scale
+    if poison is not None:
+        left[poison[0], poison[1]] = np.nan
+    return [rows[0], OuterBlock(left, right, ROWS, COLS, COEFFS)]
+
+
+def densely(evaluator):
+    """The same series with every OuterBlock materialised."""
+    return lambda X: [b.dense() if isinstance(b, OuterBlock) else b for b in evaluator(X)]
+
+
+def test_outer_block_matches_its_dense_rows():
+    # the factored sums against the same series summed densely: mixed
+    # exponents, non-unit coefficients, and budgets ending on a short chunk
+    ball = BallSpec.at_origin(4, 16.0)
+    for sampler in (Sampler(budget=2 * 4096 + 700, seed=139),
+                    Sampler(budget=2500, seed=149, chunk=1000)):
+        got = weighted_norm_batch(outer_series, ball, OUTER_PS, sampler)
+        want = weighted_norm_batch(densely(outer_series), ball, OUTER_PS, sampler)
+        for g, w in zip(got, want):
+            assert g.value == pytest.approx(w.value, rel=1e-12, abs=0)
+            assert g.stderr == pytest.approx(w.stderr, rel=1e-12, abs=0)
+
+
+def test_outer_block_poison_named_as_dense():
+    # a NaN in one left-factor entry of chunk 1 poisons every series on that
+    # row; the error names the first (series, sample), as the dense path does
+    ball = BallSpec.at_origin(4, 16.0)
+    sampler = Sampler(budget=3 * 4096, seed=151)
+    x1, _ = _MixtureProposal(ball, defensive=True).sample(151, 1, 4096)
+
+    def poisoned(X):
+        at = np.flatnonzero((X == x1[777]).all(axis=1))
+        return outer_series(X, poison=(1, at) if len(at) else None)
+
+    errors = []
+    for evaluator in (poisoned, densely(poisoned)):
+        with pytest.raises(PoisonedEstimateError) as err:
+            weighted_norm_batch(evaluator, ball, OUTER_PS, sampler)
+        errors.append(err.value)
+    assert errors[0].series == errors[1].series == 1 + 2    # series 2 is row 1's first
+    assert np.array_equal(errors[0].x, x1[777]) and np.array_equal(errors[1].x, x1[777])
+
+
+def test_outer_block_factor_overflow_does_not_poison():
+    # |left|^p overflows and |right|^p underflows, but every product is
+    # finite: each batch is summed again on its dense rows
+    ball = BallSpec.at_origin(4, 16.0)
+    sampler = Sampler(budget=4096 + 1000, seed=157)
+
+    def extreme(X):
+        return outer_series(X, scale=1e60)
+
+    got = weighted_norm_batch(extreme, ball, OUTER_PS, sampler)
+    want = weighted_norm_batch(densely(extreme), ball, OUTER_PS, sampler)
+    for g, w in zip(got, want):
+        assert math.isfinite(g.value) and g.value > 0
+        assert g.value == pytest.approx(w.value, rel=1e-12, abs=0)
+        assert g.stderr == pytest.approx(w.stderr, rel=1e-12, abs=0)
+
+
+# Bound fixed beforehand for an indicator N=16384 cell (128 x 128 cells): the
+# two 1-D factor tables at a whole chunk, 16 B x (128 + 128) x 4096 values
+# (16.8 MB), and 1.5 MB for one proposal chunk of 4096 points.  Its (cells,
+# B) table at 256 samples a call is 67 MB.
+FACTORED_BOUND = 16 * (128 + 128) * 4096 + 3 * 2 ** 19
+
+
+def test_factored_indicator_cell_memory_stays_within_its_factor_tables():
+    spec = ScenarioSpec(kind="indicator", n_scale=16384.0, p=6.0)
+    sampler = Sampler(budget=4096, seed=163)
+    run_cell(spec, Sampler(budget=1000, seed=163))      # warms the caches
+    tracemalloc.start()
+    try:
+        rep = run_cell(spec, sampler)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.caps_total == 16384 and len(rep.per_cap) == 16384
+    assert peak < FACTORED_BOUND
 
 
 def reference_sample(prop, seed, chunk_index, n):

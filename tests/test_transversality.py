@@ -114,6 +114,14 @@ def test_graph_column_band_counts():
     assert np.all(graph.counts == graph.counts[:, :1])
 
 
+@pytest.mark.parametrize("nu", [-1.0, 0.0, float("nan"), float("inf")])
+def test_graph_rejects_nu_that_is_not_finite_and_positive(nu):
+    # a negative nu gave NaN strip half-widths, and nan called every pair
+    # transverse
+    with pytest.raises(ValueError, match="nu must be finite and > 0"):
+        transversality_graph(QuadCoeffs(1, 0, 0, 0, 0, 1), K=8, nu=nu)
+
+
 def test_graph_two_strips_and_agreement():
     graph = transversality_graph(QuadCoeffs(1, 0, 0, 0, 0, 1), K=8)
     assert graph.strip.kind == "double"
