@@ -121,16 +121,21 @@ def _check_values(cfg: dict):
                               f"{' or '.join(map(str, dims))} coordinates "
                               f"(the dimension of some cell), got {center!r}")
     for idx, spec, raw in cells:
+        part = "scenario"           # the object whose key a KeyError names
         try:
             harness.scenario(spec)
             if "surface" in raw:
+                part = "surface"
                 _build_surface(raw["surface"])
             if "field" in raw:
+                part = "field"
                 _build_field(raw["field"], cap_level_for(spec.n_scale), spec.seed)
             ball = _cell_ball(cfg, spec)
             if ball is not None:
                 weight_mass(ball)
-        except (ValueError, TypeError, KeyError) as exc:
+        except KeyError as exc:
+            raise ConfigError(f"{_where(idx, spec)}: missing key {exc} in {part}") from exc
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"{_where(idx, spec)}: {exc}") from exc
 
 
@@ -162,10 +167,17 @@ def _build_field(spec: dict, level: int, default_seed: int) -> AmplitudeField:
         if amps_raw is None:
             amps = np.ones(len(pts), dtype=complex)
         else:
-            amps = np.array([complex(a[0], a[1]) if isinstance(a, (list, tuple))
-                             else complex(a) for a in amps_raw])
+            amps = np.array([_amplitude(a) for a in amps_raw])
         return AmplitudeField.atomic(pts, amps)
     raise ConfigError(f"unknown field mode {mode!r}")
+
+
+def _amplitude(a) -> complex:
+    """An atomic amplitude: a JSON number, or an [re, im] list of two."""
+    parts = a if isinstance(a, list) and len(a) == 2 else [a]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+        raise ValueError(f"field amplitude must be a number or [re, im], got {a!r}")
+    return complex(*parts)
 
 
 def _sampler_from(cfg: dict, default_seed: int) -> Sampler:

@@ -47,7 +47,8 @@ Rank-one cells: a separable cell (r, c) is coeff ft[r] fs[c], and a
 progression atom k is amp O[k // b] I[k % b].  `ExtensionEvaluator.factors`
 hands out the two short factor tables with each cell's row, column and
 coefficient, so a caller can work on them without the (cells, B) table;
-`cell_values` materialises that table as the same product.
+`cell_values` materialises that table as the same product, with
+`norms.OuterBlock.dense`.
 
 Every engine evaluates e(.) with one table-driven kernel, `_cis`.  Node sums take
 NODE_BLOCK nodes at a time, and the quadratic engine a block of samples
@@ -80,6 +81,7 @@ from numpy.polynomial.legendre import leggauss
 from .faddeeva import w_ray
 from .geometry import QuadSurface, SurfaceEvaluator
 from .grid import CapPartition, DyadicSquare, square_at
+from .norms import OuterBlock
 
 TWO_PI_I = 2j * np.pi
 
@@ -329,41 +331,6 @@ def _progression_factors(phi: np.ndarray, b: int,
     phase[rows:] += c0
     both = _cis(phase)
     return both[:rows], both[rows:]
-
-
-def _row_runs(rows: np.ndarray, cols: np.ndarray, shape: tuple) -> list[tuple]:
-    """(left row, its cells, their right rows) for each of the shape[0] left
-    rows, each holding a cell, with the cells as a slice when they are
-    contiguous and the right rows as a slice when they are contiguous and
-    ascending: the loop of `_rank_one_values`."""
-    runs = []
-    for r in range(shape[0]):
-        at = np.flatnonzero(rows == r)
-        cr = cols[at]
-        if np.array_equal(cr, np.arange(shape[1])):
-            cr = slice(None)
-        elif np.array_equal(cr, np.arange(cr[0], cr[0] + len(cr))):
-            cr = slice(int(cr[0]), int(cr[0]) + len(cr))
-        if at[-1] - at[0] + 1 == len(at):
-            at = slice(int(at[0]), int(at[-1]) + 1)
-        runs.append((r, at, cr))
-    return runs
-
-
-def _rank_one_values(left: np.ndarray, right: np.ndarray, runs: list[tuple],
-                     coeffs: np.ndarray | None, n: int) -> np.ndarray:
-    """(n, B) cell values coeffs[k] left[row k] right[col k], as
-    `OuterBlock.dense` gives them bit for bit, but one broadcast multiply
-    per left row (`_row_runs`) into the result, with no gathered table."""
-    out = np.empty((n, left.shape[1]), dtype=complex)
-    for r, at, cr in runs:
-        if isinstance(at, slice):
-            np.multiply(left[r], right[cr], out=out[at])
-        else:
-            out[at] = left[r] * right[cr]
-    if coeffs is not None:
-        out *= coeffs[:, None]
-    return out
 
 
 def _sample_batch(X) -> np.ndarray:
@@ -702,7 +669,7 @@ class ExtensionEvaluator:
             if self._split is not None:
                 b, k = self._split, np.arange(n)
                 amps = None if np.all(self._amps == self._amps[0]) else self._amps
-                self._set_layout(k // b, k % b, amps, (-(-n // b), b))
+                self.factor_layout = (k // b, k % b, amps, (-(-n // b), b))
             return
         self.cells = amp_field.cells
         split = surface.phase_split()
@@ -742,13 +709,7 @@ class ExtensionEvaluator:
             AxisFactor(sj, side, self.x_max, bound, f.node_factor, f.g2, split[1], 1, quad_s)]
         self._nodes_per_sample = int(self._factors[0].nodes[0]) * (len(ti) + len(sj))
         coeffs = None if np.all(f.coeffs == 1) else f.coeffs
-        self._set_layout(cell_rows, cell_cols, coeffs, (len(ti), len(sj)))
-
-    def _set_layout(self, rows, cols, coeffs, shape):
-        """The rank-one cells' layout (`factors`) and the per-row loop that
-        materialises them."""
-        self.factor_layout = (rows, cols, coeffs, shape)
-        self._runs = _row_runs(rows, cols, shape)
+        self.factor_layout = (cell_rows, cell_cols, coeffs, (len(ti), len(sj)))
 
     def _build_quadratic(self):
         # Cells share one level, so one local Gauss grid u = v (offsets from
@@ -891,11 +852,9 @@ class ExtensionEvaluator:
 
     def cell_values(self, X) -> np.ndarray:
         """Extension of each cell restriction at the sample batch X.  Rank-one
-        cells are the product of their `factors`, one broadcast multiply per
-        left row, then the coefficients."""
+        cells are the product of their `factors` (`OuterBlock.dense`)."""
         if self.factor_layout is not None:
-            left, right, _, _, coeffs = self.factors(X)
-            return _rank_one_values(left, right, self._runs, coeffs, self.n_cells)
+            return OuterBlock(*self.factors(X)).dense()
         X = _sample_batch(X)
         self.node_samples += self._nodes_per_sample * X.shape[0]
         if self._mode == "atomic":

@@ -171,20 +171,24 @@ def _rhs(q: float, scale: float = 1.0) -> Callable:
 # grouped cap evaluation
 
 
+def _scatter(vals: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """(n, B): row k the in-order sum of the rows of vals indexed k, or 0."""
+    out = np.zeros((n, vals.shape[1]), dtype=complex)
+    np.add.at(out, index, vals)
+    return out
+
+
 class _CapGroups:
     """Maps evaluator cells (or atomic points) onto measurement caps.
 
-    On rank-one cells (`ExtensionEvaluator.factors`) `cap_rows` never builds
-    the (cells, B) table: a run of one-cell caps is an `OuterBlock` with its
-    coefficient matrix C built here once, and other caps (several cells, as
-    flat-line's last, or none) are dense rows.  Other evaluators take
-    `dense_rows`: with the cells in cap order and no empty cap, each cap's
-    cells are added in cell order into its first cell's row of the new
-    `cell_values` array, and the cap sums move down to rows 0..caps-1 by
-    contiguous copies; other fields are gathered into a new array, each cap
-    taking its first cell and then the rest in cell order, one per round,
-    and empty caps reading 0.  Both are an in-order scatter-add, bit for
-    bit."""
+    A cap's value is the in-order scatter-add of its cells' values
+    (`_scatter`; 0 for a cap without cells).  On rank-one cells
+    (`ExtensionEvaluator.factors`) `cap_rows` never builds the (cells, B)
+    table: a run of one-cell caps is an `OuterBlock` with its coefficient
+    matrix C built here once, and a run of other caps (several cells, as
+    flat-line's last, or none) is scattered from its `OuterBlock.dense`.
+    Other evaluators take `dense_rows`: `cell_values` itself when each cap
+    holds exactly its own cell, else scattered."""
 
     def __init__(self, ev: ExtensionEvaluator, caps: Sequence[DyadicSquare]):
         self.ev = ev
@@ -204,30 +208,16 @@ class _CapGroups:
             raise AllCapsEmptyError("field has no support in the measurement caps")
         if np.any(self.index < 0):
             raise ValueError("field support escapes the requested caps")
-        counts = np.bincount(self.index, minlength=len(self.caps))
-        order = np.argsort(self.index, kind="stable")    # cells by cap, in order
-        starts = np.cumsum(counts) - counts
-        self._first = order[np.minimum(starts, len(order) - 1)]
-        self._empty = np.flatnonzero(counts == 0)
-        self._rounds = [(np.flatnonzero(counts > r), order[starts[counts > r] + r])
-                        for r in range(1, int(counts.max()))]
-        self._fold = None
-        if np.all(np.diff(self.index) >= 0) and not self._empty.size:
-            # the cells are in cap order, so order is the identity; cap k
-            # moves from row starts[k] >= k, in runs of equal shift
-            adds = [(starts[caps], cells) for caps, cells in self._rounds]
-            shift = starts - np.arange(len(self.caps))
-            cut = np.flatnonzero(np.diff(shift)) + 1
-            moves = [(int(lo), int(hi), int(shift[lo]))
-                     for lo, hi in zip(np.r_[0, cut], np.r_[cut, len(self.caps)])
-                     if shift[lo]]
-            self._fold = (adds, moves)
-        self._runs = ev.factor_layout and self._factor_runs(counts, order, starts)
+        self._identity = np.array_equal(self.index, np.arange(len(self.caps)))
+        self._runs = ev.factor_layout and self._factor_runs()
 
-    def _factor_runs(self, counts, order, starts) -> list:
+    def _factor_runs(self) -> list:
         """Per run of caps in cap order: (its cells as a table-less `OuterBlock`,
         with C if the caps hold one cell each; else the cells' caps; cap count)."""
         rows, cols, coeffs, shape = self.ev.factor_layout
+        counts = np.bincount(self.index, minlength=len(self.caps))
+        order = np.argsort(self.index, kind="stable")    # cells by cap, in order
+        starts = np.cumsum(counts) - counts
         single = counts == 1
         cut = np.flatnonzero(np.diff(single)) + 1
         runs = []
@@ -241,48 +231,22 @@ class _CapGroups:
             runs.append((block, None if single[lo] else self.index[cells] - lo, hi - lo))
         return runs
 
-    def gather(self, cell_vals: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Writes the (caps, B) sums of the (cells, B) cell values to out."""
-        # the indices are valid; mode="raise" would copy through a buffer
-        np.take(cell_vals, self._first, axis=0, out=out, mode="clip")
-        out[self._empty] = 0.0
-        for caps, cells in self._rounds:
-            out[caps] += cell_vals[cells]
-        return out
-
     def cap_rows(self, x_batch) -> list:
         """The cap values on the batch as row blocks in cap order (see the
-        class docstring); dense rows are an in-order scatter-add."""
+        class docstring)."""
         if self._runs is None:
             return [self.dense_rows(x_batch)]
         left, right = self.ev.factors(x_batch)[:2]
         out = []
         for block, at, n_caps in self._runs:
             block = replace(block, left=left, right=right)
-            if at is not None:
-                vals = np.zeros((n_caps, left.shape[1]), dtype=complex)
-                np.add.at(vals, at, block.dense())
-                block = vals
-            out.append(block)
+            out.append(block if at is None else _scatter(block.dense(), at, n_caps))
         return out
 
     def dense_rows(self, x_batch) -> np.ndarray:
-        """(caps, B): the cap values on the batch, folded into the cell
-        values' own array when the caps allow it, else gathered."""
-        # cell_values returns a new array, which the fold may overwrite
-        cell_vals = np.ascontiguousarray(self.ev.cell_values(x_batch))
-        if self._fold is None:
-            out = np.empty((len(self.caps), cell_vals.shape[1]), dtype=complex)
-            return self.gather(cell_vals, out)
-        adds, moves = self._fold
-        for firsts, cells in adds:
-            cell_vals[firsts] += cell_vals[cells]
-        flat = cell_vals.reshape(-1)
-        b = cell_vals.shape[1]
-        for lo, hi, d in moves:
-            # a 1-D copy to lower addresses needs no buffer for the overlap
-            flat[lo * b:hi * b] = flat[(lo + d) * b:(hi + d) * b]
-        return cell_vals[:len(self.caps)]
+        """(caps, B): the cap values on the batch from `cell_values`."""
+        vals = self.ev.cell_values(x_batch)
+        return vals if self._identity else _scatter(vals, self.index, len(self.caps))
 
 
 def _support_caps(field_in: AmplitudeField, level: int) -> list[DyadicSquare]:

@@ -390,11 +390,15 @@ class OuterBlock:
         return len(self.left) + len(self.right)
 
     def dense(self) -> np.ndarray:
-        """The (series, B) table, each row (left * right) * coeff."""
-        out = self.left[self.rows]
-        out *= self.right[self.cols]
-        if self.coeffs is not None:
-            out *= self.coeffs[:, None]
+        """The (series, B) table, each row (left * right) * coeff, filled in
+        blocks of _ACCUM_BLOCK elements so no full-size gather is built."""
+        out = np.empty((len(self.rows), self.left.shape[1]), dtype=complex)
+        step = max(1, _ACCUM_BLOCK // max(1, out.shape[1]))
+        for lo in range(0, len(out), step):
+            at = slice(lo, lo + step)
+            np.multiply(self.left[self.rows[at]], self.right[self.cols[at]], out=out[at])
+            if self.coeffs is not None:
+                out[at] *= self.coeffs[at, None]
         return out
 
     def total(self) -> np.ndarray:

@@ -329,50 +329,71 @@ def test_numeric_poisoning_exit(tmp_path, monkeypatch):
     assert rc == 3
 
 
-@pytest.mark.parametrize("scenario, sampler", [
-    ({"kind": "indicator", "N": [0]}, None),
-    ({"kind": "indicator", "N": [-4]}, None),
-    ({"kind": "indicator", "N": [16], "p": [0.5]}, None),
-    ({"kind": "strip", "K": 3}, None),
-    ({"kind": "strip", "K": 0}, None),
-    ({"kind": "bilinear-pair", "N": [16], "nu": 0.9}, None),
-    ({"kind": "flat-line", "N": [16]}, {"strategy": "mc", "budget": 256, "seed": 1}),
-    ({"kind": "flat-line", "N": [16]}, {"strategy": "rqmc", "budget": 2048, "seed": 1}),
-    ({"kind": "flat-line", "N": [16]}, {"proposal": "defensive", "budget": 2048}),
-    ({"kind": "flat-line", "N": [16]}, {"chunk": 0, "budget": 2048}),
-    ({"kind": "flat-line", "N": [16]}, {"chunk": -4, "budget": 2048}),
+@pytest.mark.parametrize("scenario, sampler, message", [
+    ({"kind": "indicator", "N": [0]}, None, None),
+    ({"kind": "indicator", "N": [-4]}, None, None),
+    ({"kind": "indicator", "N": [16], "p": [0.5]}, None, None),
+    ({"kind": "strip", "K": 3}, None, None),
+    ({"kind": "strip", "K": 0}, None, None),
+    ({"kind": "bilinear-pair", "N": [16], "nu": 0.9}, None, None),
+    ({"kind": "flat-line", "N": [16]}, {"strategy": "mc", "budget": 256, "seed": 1}, None),
+    ({"kind": "flat-line", "N": [16]}, {"strategy": "rqmc", "budget": 2048, "seed": 1}, None),
+    ({"kind": "flat-line", "N": [16]}, {"proposal": "defensive", "budget": 2048}, None),
+    ({"kind": "flat-line", "N": [16]}, {"chunk": 0, "budget": 2048}, None),
+    ({"kind": "flat-line", "N": [16]}, {"chunk": -4, "budget": 2048}, None),
     ({"kind": "indicator", "N": [16],
-      "field": {"mode": "atomic", "points": [[float("nan"), 0.5], [0.25, 0.75]]}}, None),
-    ({"kind": "curve-bilinear", "N": [16], "I1": [0, 0.3]}, None),
-    ({"kind": "curve-bilinear", "N": [16], "I1": [0, 0.25], "I2": [0.2, 0.5]}, None),
-    ({"kind": "strip", "K": 4.5}, None),
-    ({"kind": "indicator", "N": [16]}, {"strategy": "lattice", "budget": 2048}),
-    ({"kind": "indicator", "N": [16]}, {"seed": -1, "budget": 2048}),
-    ({"kind": "indicator", "N": [16], "p": [float("inf")]}, None),
-    ({"kind": "indicator", "N": [float("inf")]}, None),
-    ({"kind": "indicator", "N": []}, None),
-    ({"kind": "indicator", "N": [16], "p": []}, None),
-    ({"kind": "strip", "N": [4, 16], "K": 8}, None),
-    ({"kind": "indicator", "N": [16]}, {"seed": 2.7, "budget": 2048}),
-    ({"kind": "indicator", "N": [16]}, {"seed": True, "budget": 2048}),
-    ({"kind": "indicator", "N": [16]}, {"budget": 1024.9}),
-    ({"kind": "indicator", "N": [16]}, {"budget": 2048.0}),
-    ({"kind": "indicator", "N": [16]}, {"budget": True}),
-    ({"kind": "indicator", "N": [16]}, {"budget": 2048, "chunk": 4096.7}),
-    ({"kind": "indicator", "N": [16]}, {"budget": 2048, "chunk": True}),
-    ({"kind": "indicator", "N": [16], "seed": 2.5}, None),
-    ({"kind": "indicator", "N": [16], "seed": False}, None),
-    ({"kind": "indicator", "N": [16], "field": {"mode": "random-phase", "seed": 2.5}}, None),
+      "field": {"mode": "atomic", "points": [[float("nan"), 0.5], [0.25, 0.75]]}}, None, None),
+    ({"kind": "curve-bilinear", "N": [16], "I1": [0, 0.3]}, None, None),
+    ({"kind": "curve-bilinear", "N": [16], "I1": [0, 0.25], "I2": [0.2, 0.5]}, None, None),
+    ({"kind": "strip", "K": 4.5}, None, None),
+    ({"kind": "indicator", "N": [16]}, {"strategy": "lattice", "budget": 2048}, None),
+    ({"kind": "indicator", "N": [16]}, {"seed": -1, "budget": 2048}, None),
+    ({"kind": "indicator", "N": [16], "p": [float("inf")]}, None, None),
+    ({"kind": "indicator", "N": [float("inf")]}, None, None),
+    ({"kind": "indicator", "N": []}, None, None),
+    ({"kind": "indicator", "N": [16], "p": []}, None, None),
+    ({"kind": "strip", "N": [4, 16], "K": 8}, None, None),
+    ({"kind": "indicator", "N": [16]}, {"seed": 2.7, "budget": 2048}, None),
+    ({"kind": "indicator", "N": [16]}, {"seed": True, "budget": 2048}, None),
+    ({"kind": "indicator", "N": [16]}, {"budget": 1024.9}, None),
+    ({"kind": "indicator", "N": [16]}, {"budget": 2048.0}, None),
+    ({"kind": "indicator", "N": [16]}, {"budget": True}, None),
+    ({"kind": "indicator", "N": [16]}, {"budget": 2048, "chunk": 4096.7}, None),
+    ({"kind": "indicator", "N": [16]}, {"budget": 2048, "chunk": True}, None),
+    ({"kind": "indicator", "N": [16], "seed": 2.5}, None, None),
+    ({"kind": "indicator", "N": [16], "seed": False}, None, None),
+    ({"kind": "indicator", "N": [16], "field": {"mode": "random-phase", "seed": 2.5}},
+     None, None),
     ({"kind": "indicator", "N": [16], "field": {"mode": "random-phase", "seed": True}},
-     None),
+     None, None),
+    ({"kind": "indicator", "N": [16],
+      "field": {"mode": "atomic", "points": [[0.1, 0.2]], "amps": [[1]]}}, None,
+     "amplitude must be a number or"),
+    ({"kind": "indicator", "N": [16],
+      "field": {"mode": "atomic", "points": [[0.1, 0.2]], "amps": [[1, 2, 3]]}}, None,
+     "amplitude must be a number or"),
+    ({"kind": "indicator", "N": [16],
+      "field": {"mode": "atomic", "points": [[0.1, 0.2]], "amps": ["1+2j"]}}, None,
+     "amplitude must be a number or"),
+    ({"kind": "indicator", "N": [16],
+      "field": {"mode": "atomic", "points": [[0.1, 0.2]], "amps": [[1, True]]}}, None,
+     "amplitude must be a number or"),
+    ({"kind": "indicator", "N": [16], "field": {"mode": "atomic"}}, None,
+     "missing key 'points' in field"),
+    ({"kind": "indicator", "N": [16], "field": {"mode": "atomic", "kind": "flat-line"}}, None,
+     "missing key 'N' in field"),
+    ({"kind": "indicator", "N": [16], "surface": {"type": "quad"}}, None,
+     "missing key 'A' in surface"),
 ], ids=["N=0", "N=-4", "p=0.5", "strip-K=3", "strip-K=0", "nu=0.9", "budget=256",
         "strategy=rqmc", "proposal=defensive", "chunk=0", "chunk=-4", "atomic-nan-point",
         "curve-I1-off-grid", "curve-too-close", "strip-K=4.5", "strategy=lattice",
         "seed=-1", "p=inf", "N=inf", "N-empty", "p-empty", "strip-two-N",
         "sampler-seed=2.7", "sampler-seed=true", "budget=1024.9", "budget=2048.0",
         "budget=true", "chunk=4096.7", "chunk=true", "scenario-seed=2.5",
-        "scenario-seed=false", "field-seed=2.5", "field-seed=true"])
-def test_bad_value_rejected_at_load(tmp_path, capsys, scenario, sampler):
+        "scenario-seed=false", "field-seed=2.5", "field-seed=true", "amps-one-number-list",
+        "amps-three-numbers", "amps-string", "amps-bool-part", "field-no-points",
+        "flat-line-field-no-N", "quad-surface-no-A"])
+def test_bad_value_rejected_at_load(tmp_path, capsys, scenario, sampler, message):
     cfg_path = tmp_path / "run.json"
     outputs = {"report": str(tmp_path / "report.json"), "csv": str(tmp_path / "rows.csv")}
     overrides = {"scenarios": [scenario], "outputs": outputs}
@@ -383,7 +404,9 @@ def test_bad_value_rejected_at_load(tmp_path, capsys, scenario, sampler):
         load_config(str(cfg_path))
     rc = main(["measure", "--config", str(cfg_path)])
     assert rc == EXIT_SCHEMA
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message is None or message in err
     assert not any(tmp_path.joinpath(name).exists() for name in ("report.json", "rows.csv"))
 
 

@@ -18,8 +18,8 @@ from declab.fields import (_CIS_BLOCK, _CROSS_THETA_MAX, NODE_BLOCK, QUAD_BLOCK_
 from declab.geometry import (QuadCoeffs, curve_lift, moment_curve, quad_surface,
                              random_admissible)
 from declab.grid import CapPartition, DyadicSquare
-from declab.harness import (FLAT_LINE_COEFFS, X_MAX_TAIL, _x_max, flat_line_points,
-                            measurement_ball)
+from declab.harness import (FLAT_LINE_COEFFS, X_MAX_TAIL, ScenarioSpec, _x_max,
+                            flat_line_points, measurement_ball, scenario)
 from declab.norms import (BallSpec, PoisonedEstimateError, Sampler, _MixtureProposal,
                           weighted_norm_batch)
 
@@ -1029,6 +1029,30 @@ def test_progression_split_memory():
     finally:
         tracemalloc.stop()
     assert vals.shape == (n, batch)
+    assert peak < bound
+
+
+def test_indicator_cell_values_memory_stays_within_its_tables():
+    # Bound fixed beforehand: the (cells, B) complex result, the two (16, B)
+    # factor tables, the closed form's block tables and the e(.) kernel's
+    # scratch (48 bytes per QUAD_BLOCK_ELEMENTS element, as in the separable
+    # engine's test above) and 2 MB.  Gathering a factor's rows for every
+    # cell at once would add a second (cells, B) table, more than the bound
+    # leaves beyond the result.
+    bundle = scenario(ScenarioSpec(kind="indicator", n_scale=256.0))
+    x, x_max = proposal_chunk(256.0)
+    ev = extension_evaluator(bundle.surface, bundle.fields[0], x_max)
+    cells, (rows, cols), batch = 256, ev.factor_layout[3], x.shape[0]
+    slack = 48 * QUAD_BLOCK_ELEMENTS + 2 * 2 ** 20
+    bound = 16 * (cells + rows + cols) * batch + slack
+    assert 16 * cells * batch > slack + 16 * (rows + cols) * batch
+    tracemalloc.start()
+    try:
+        vals = ev.cell_values(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ev.n_cells == cells and vals.shape == (cells, batch)
     assert peak < bound
 
 

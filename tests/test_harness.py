@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,54 +487,53 @@ THREE_IN_ONE = np.array([[0.1, 0.1], [0.12, 0.11], [0.13, 0.2], [0.6, 0.7], [0.9
 
 
 def cap_case(name):
-    """(evaluator, caps, whether the caps fold in place, ball) of one case."""
+    """(evaluator, caps, ball) of one case."""
     flat = quad_surface(FLAT_LINE_COEFFS)
     n_scale = 16.0
     if name.startswith("flat-line-"):
         n_scale = float(name.split("-")[-1])
         field = scenario(ScenarioSpec(kind="flat-line", n_scale=n_scale)).fields[0]
-        surface, caps, fold = flat, harness._support_caps(field, cap_level_for(n_scale)), True
+        surface, caps = flat, harness._support_caps(field, cap_level_for(n_scale))
     elif name == "three-atoms-one-cap":
         field = AmplitudeField.atomic(THREE_IN_ONE, np.arange(1, 6) * (1 + 0.5j))
-        surface, caps, fold = flat, harness._support_caps(field, 2), True
+        surface, caps = flat, harness._support_caps(field, 2)
     elif name == "unsorted-atoms":
         field = AmplitudeField.atomic(THREE_IN_ONE[::-1].copy(), np.arange(1, 6) * (1 - 0.5j))
-        surface, caps, fold = flat, harness._support_caps(field, 2), False
+        surface, caps = flat, harness._support_caps(field, 2)
     elif name == "empty-cap":
         # atoms in cap order, but the last cap holds none
         field = scenario(ScenarioSpec(kind="flat-line", n_scale=64)).fields[0]
         caps = [DyadicSquare(1, 0, 0), DyadicSquare(1, 0, 1), DyadicSquare(1, 1, 0)]
-        surface, fold = flat, False
+        surface = flat
     elif name == "strip":
         bundle = scenario(ScenarioSpec(kind="strip", k_squares=8))
-        surface, field, caps, fold = bundle.surface, bundle.fields[0], bundle.squares, True
+        surface, field, caps = bundle.surface, bundle.fields[0], bundle.squares
         n_scale = 8.0
     else:
         n_scale = 64.0
         field = scenario(ScenarioSpec(kind="indicator", n_scale=n_scale)).fields[0]
-        surface, caps, fold = SURF, harness._support_caps(field, cap_level_for(n_scale)), True
+        surface, caps = SURF, harness._support_caps(field, cap_level_for(n_scale))
     ball = measurement_ball(4, n_scale)
-    return extension_evaluator(surface, field, harness._x_max(ball)), caps, fold, ball
+    return extension_evaluator(surface, field, harness._x_max(ball)), caps, ball
 
 
 @pytest.mark.parametrize("name", ["flat-line-64", "flat-line-1024", "flat-line-16384",
                                   "flat-line-100", "three-atoms-one-cap",
                                   "unsorted-atoms", "empty-cap", "strip", "indicator"])
 def test_cap_fold_matches_gather_bit_for_bit(name):
-    # E g and the cap rows handed to weighted_norm_batch against the gather
-    # into a (1 + caps, B) buffer, bit for bit
-    ev, caps, fold, ball = cap_case(name)
+    # E g and the cap rows handed to weighted_norm_batch against np.add.at
+    # of the cell values into a (caps, B) table of zeros, byte for byte
+    ev, caps, ball = cap_case(name)
     groups = _CapGroups(ev, caps)
-    assert (groups._fold is not None) == fold
     if name == "flat-line-100":
         assert ev._split is None          # the direct atomic path
     x, _ = _MixtureProposal(ball, defensive=True).sample(3, 0, 1000)
-    want = np.empty((1 + len(caps), len(x)), dtype=complex)
-    np.sum(groups.gather(ev.cell_values(x), want[1:]), axis=0, out=want[0])
+    want = np.zeros((len(caps), len(x)), dtype=complex)
+    np.add.at(want, groups.index, ev.cell_values(x))
     got = groups.dense_rows(x)
-    assert got.shape == want[1:].shape and got.dtype == want.dtype
-    assert harness._total(got).tobytes() == want[0].tobytes()
-    assert np.ascontiguousarray(got).tobytes() == want[1:].tobytes()
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert harness._total(got).tobytes() == harness._total(want).tobytes()
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def factored_case(name):
@@ -587,21 +585,3 @@ def test_factored_caps_take_outer_blocks():
         blocks = _CapGroups(ev, caps).cap_rows(np.ones((4, 4)))
         assert isinstance(blocks[0], OuterBlock) and len(blocks[0]) == len(caps) - len(dense)
         assert [len(b) for b in blocks[1:]] == dense
-
-
-def test_flat_line_cap_fold_builds_no_second_table():
-    # Bound fixed beforehand: the (128, 4096) complex cell table of one
-    # flat-line N=16384 chunk (8.4 MB) plus half a (127, 4096) cap table
-    # (4.2 MB).  Gathering into a second (1 + caps, B) buffer adds 8.4 MB.
-    ev, caps, _, ball = cap_case("flat-line-16384")
-    groups = _CapGroups(ev, caps)
-    x, _ = _MixtureProposal(ball, defensive=True).sample(3, 0, 4096)
-    groups.dense_rows(x)
-    tracemalloc.start()
-    try:
-        groups.dense_rows(x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert ev.n_cells == 128 and len(caps) == 127
-    assert peak < 16 * 4096 * (128 + 127 / 2)

@@ -453,8 +453,8 @@ def test_series_tables_stay_within_one_sub_batch():
 
 
 def test_indicator_cell_memory_stays_within_one_sub_batch():
-    # indicator N=1024 has 1024 caps; the evaluator's (caps, B) cell table
-    # is folded into cap rows in place, so one table is live per sub-batch
+    # indicator N=1024 has 1024 caps, one cell each; they are summed on
+    # their factor tables, so no more than one sub-batch's table is live
     spec = ScenarioSpec(kind="indicator", n_scale=1024.0, p=6.0)
     sampler = Sampler(budget=4096, seed=131)
     run_cell(spec, sampler)

@@ -50,7 +50,7 @@ def test_traced_config_mix_benchmark_smoke(tmp_path):
 
 
 def test_traced_flatline_benchmark_smoke(tmp_path):
-    # the traced atomic engine: the tracer's cell_values(ev, X) wrapper under
-    # the in-place cap fold, and the evaluator's row blocks handed through
-    # the tracer's evaluator wrapper to the accumulator
+    # the traced atomic engine: the evaluator's row blocks (factored caps and
+    # the scattered last cap) handed through the tracer's evaluator wrapper
+    # to the accumulator
     smoke_run(tmp_path, "flatline", trace=1)
