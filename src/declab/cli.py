@@ -22,8 +22,9 @@ from .fields import AmplitudeField, extension_evaluator
 from .geometry import (QuadCoeffs, curve_lift, moment_curve, quad_surface,
                        random_admissible)
 from .grid import DyadicSquare, cap_level_for
-from .harness import (DecouplingReport, Sampler, ScenarioSpec, emit_plotdata,
-                      measure_linear, measurement_ball, run_cell, slope_series)
+from .harness import (DecouplingReport, Sampler, ScenarioSpec, emit_plotdata, run_cell,
+                      slope_series)
+from .harness import measure_linear  # noqa: F401 (perfbench/tracing.py patches this name)
 from .norms import PoisonedEstimateError, weight_mass
 from .rescale import rescaling_residual
 from .transversality import (jacobian_residual, min_abs_form,
@@ -68,7 +69,21 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def load_config(path: str) -> dict:
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, what: str) -> list[float]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{what} must be a list of numbers, got {values!r}")
+    return [_number(v, what) for v in values]
+
+
+def load_config(path: str) -> tuple[dict, Sampler, list]:
+    """(config, sampler, cells): the checked config and every input its cells
+    run on, as `_build_cells` builds them once."""
     with open(path) as fh:
         cfg = json.load(fh)
     _check_keys(cfg, _TOP_KEYS, "config")
@@ -86,68 +101,74 @@ def load_config(path: str) -> dict:
             _check_keys(sc["surface"], _SURFACE_KEYS, "surface")
         if "field" in sc:
             _check_keys(sc["field"], _FIELD_KEYS, "field")
-        if ("surface" in sc or "field" in sc) and sc["kind"] not in (
-                "indicator", "random-phase", "flat-line"):
+        if ("surface" in sc or "field" in sc) and sc["kind"] not in harness.LINEAR_KINDS:
             raise ConfigError("surface/field overrides apply to the linear "
                               "measurement kinds only")
     _check_keys(cfg.get("sampler", {}), _SAMPLER_KEYS, "sampler")
     _check_keys(cfg.get("ball", {}), _BALL_KEYS, "ball")
     _check_keys(cfg.get("outputs", {}), _OUTPUT_KEYS, "outputs")
-    budget = cfg.get("time_budget_s", 0.0)
-    if isinstance(budget, bool) or not isinstance(budget, (int, float)) \
-            or not 0 <= budget < np.inf:
+    budget = _number(cfg.get("time_budget_s", 0.0), "time_budget_s")
+    if not 0 <= budget < np.inf:
         raise ConfigError(f"time_budget_s must be a finite number >= 0, got {budget!r}")
-    _check_values(cfg)
-    return cfg
+    return cfg, *_build_cells(cfg)
 
 
-def _check_values(cfg: dict):
-    """Build every cell's scenario (and overrides), ball and the sampler, and
-    the ball's weight mass, so that a value the harness rejects fails here
-    and not in the middle of a run."""
+def _build_cells(cfg: dict) -> tuple[Sampler, list]:
+    """The sampler and each cell's (scenario index, spec, ball, overrides),
+    overrides as `run_cell` takes them, all built once, with the balls'
+    weight mass, so that a value the harness rejects fails at load."""
     try:
-        _sampler_from(cfg, cfg["seed"])
+        sampler = _sampler_from(cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"sampler: {exc}") from exc
-    try:
-        cells = _expand_cells(cfg)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
-    center = cfg.get("ball", {}).get("center")
+    specs = _expand_cells(cfg)
+    bc = cfg.get("ball", {})
+    weight = {name: _number(bc[key], f"ball {key}")
+              for key, name in (("E", "decay"), ("T", "trunc")) if key in bc}
+    if "shape" in bc:
+        weight["shape"] = bc["shape"]
+    center = bc.get("center")
     if center is not None:
-        dims = sorted({_ball_geometry(spec)[0] for _, spec, _ in cells})
-        if not isinstance(center, list) or len(center) not in dims:
-            raise ConfigError("ball center must list "
-                              f"{' or '.join(map(str, dims))} coordinates "
-                              f"(the dimension of some cell), got {center!r}")
-    for idx, spec, raw in cells:
+        center = _numbers(center, "ball center")
+        dims = sorted({spec.dim for _, spec, _ in specs})
+        if len(center) not in dims:
+            raise ConfigError(f"ball center must list {' or '.join(map(str, dims))} "
+                              f"coordinates (the dimension of some cell), got {center!r}")
+    cells = []
+    for idx, spec, raw in specs:
         part = "scenario"           # the object whose key a KeyError names
+        overrides = {}
         try:
             harness.scenario(spec)
             if "surface" in raw:
                 part = "surface"
-                _build_surface(raw["surface"])
+                overrides["surface"] = _build_surface(raw["surface"])
             if "field" in raw:
                 part = "field"
-                _build_field(raw["field"], cap_level_for(spec.n_scale), spec.seed)
-            ball = _cell_ball(cfg, spec)
-            if ball is not None:
-                weight_mass(ball)
+                overrides["field"] = _build_field(raw["field"], cap_level_for(spec.n_scale),
+                                                  spec.seed)
+            # a center applies to the cells of its dimension only
+            fits = center is not None and len(center) == spec.dim
+            ball = spec.ball(center if fits else None, **weight)
+            weight_mass(ball)
         except KeyError as exc:
             raise ConfigError(f"{_where(idx, spec)}: missing key {exc} in {part}") from exc
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{_where(idx, spec)}: {exc}") from exc
+        cells.append((idx, spec, ball, overrides))
+    return sampler, cells
 
 
 def _build_surface(spec: dict):
     kind = spec.get("type")
     if kind == "quad":
-        return quad_surface(spec["A"])
+        return quad_surface(_numbers(spec["A"], "surface A"))
     if kind == "lift":
         if spec.get("curve", "moment") != "moment":
             raise ConfigError("only the built-in moment curve is configurable")
-        return curve_lift(moment_curve(), tuple(spec.get("I1", (0.0, 0.25))),
-                          tuple(spec.get("I2", (0.75, 1.0))))
+        i1, i2 = (tuple(_numbers(spec[key], f"surface {key}")) if key in spec else default
+                  for key, default in (("I1", ScenarioSpec.i1), ("I2", ScenarioSpec.i2)))
+        return curve_lift(moment_curve(), i1, i2)
     raise ConfigError(f"unknown surface type {kind!r}")
 
 
@@ -158,18 +179,18 @@ def _build_field(spec: dict, level: int, default_seed: int) -> AmplitudeField:
     if mode == "random-phase":
         return AmplitudeField.random_phase(level, _integer(spec.get("seed", default_seed),
                                                            "field seed"))
-    if mode == "atomic":
-        if spec.get("kind") == "flat-line":
-            flat = ScenarioSpec(kind="flat-line", n_scale=float(spec["N"]))
-            return harness.scenario(flat).fields[0]
-        pts = np.asarray(spec["points"], dtype=float)
-        amps_raw = spec.get("amps")
-        if amps_raw is None:
-            amps = np.ones(len(pts), dtype=complex)
-        else:
-            amps = np.array([_amplitude(a) for a in amps_raw])
-        return AmplitudeField.atomic(pts, amps)
-    raise ConfigError(f"unknown field mode {mode!r}")
+    if mode != "atomic":
+        raise ConfigError(f"unknown field mode {mode!r}")
+    kind = spec.get("kind")
+    if kind == "flat-line":
+        flat = ScenarioSpec(kind="flat-line", n_scale=_number(spec["N"], "field N"))
+        return harness.scenario(flat).fields[0]
+    if kind is not None:
+        raise ConfigError(f"unknown atomic field kind {kind!r}")
+    pts = [_numbers(pt, "field point") for pt in spec["points"]]
+    amps = spec.get("amps")
+    return AmplitudeField.atomic(pts, np.ones(len(pts)) if amps is None
+                                 else [_amplitude(a) for a in amps])
 
 
 def _amplitude(a) -> complex:
@@ -180,80 +201,46 @@ def _amplitude(a) -> complex:
     return complex(*parts)
 
 
-def _sampler_from(cfg: dict, default_seed: int) -> Sampler:
+def _sampler_from(cfg: dict) -> Sampler:
+    """The seed defaults to the config's, every other field to `Sampler`'s."""
     sc = cfg.get("sampler", {})
-    return Sampler(budget=_integer(sc.get("budget", 20000), "sampler budget"),
-                   seed=_integer(sc.get("seed", default_seed), "sampler seed"),
-                   strategy=sc.get("strategy", "mc"),
-                   proposal=sc.get("proposal", "mixture"),
-                   chunk=_integer(sc.get("chunk", 4096), "sampler chunk"))
+    given = {key: sc[key] for key in ("strategy", "proposal") if key in sc}
+    given.update({key: _integer(sc[key], f"sampler {key}")
+                  for key in ("budget", "chunk") if key in sc})
+    return Sampler(seed=_integer(sc.get("seed", cfg["seed"]), "sampler seed"), **given)
 
 
 def _expand_cells(cfg: dict) -> list[tuple[int, ScenarioSpec, dict]]:
     """(scenario index, spec, raw scenario) for each distinct (index, N, p)
-    cell, sorted by (index, N, p); a repeated N or p runs once."""
+    cell, sorted by (index, N, p); a repeated N or p runs once.  The seed
+    defaults to the config's, every other spec field to `ScenarioSpec`'s."""
     cells = {}
     for idx, sc in enumerate(cfg["scenarios"]):
         kind = sc["kind"]
-        n_list, p_list = (v if isinstance(v, list) else [v]
-                          for v in (sc.get("N", [64]), sc.get("p", [6])))
+        n_list, p_list = ([_number(v, key) for v in (vals if isinstance(vals, list) else [vals])]
+                          for key, vals in (("N", sc.get("N", ScenarioSpec.n_scale)),
+                                            ("p", sc.get("p", ScenarioSpec.p))))
         if not n_list or not p_list:
-            raise ValueError(f"empty {'p' if n_list else 'N'} list in scenario {idx}")
-        if kind == "strip" and len({float(n) for n in n_list}) > 1:
-            raise ValueError(f"strip scenario {idx} gives N={n_list}; its scale is K: give one N")
-        seed = _integer(sc.get("seed", cfg["seed"]), "scenario seed")
+            raise ConfigError(f"empty {'p' if n_list else 'N'} list in scenario {idx}")
+        if kind == "strip" and len(set(n_list)) > 1:
+            raise ConfigError(f"strip scenario {idx} gives N={n_list}; its scale is K: give one N")
+        given = {"seed": _integer(sc.get("seed", cfg["seed"]), "scenario seed")}
+        if "K" in sc:
+            given["k_squares"] = _integer(sc["K"], "strip K")
+        if "nu" in sc:
+            given["nu"] = _number(sc["nu"], "nu")
+        for key in ("I1", "I2"):
+            if key in sc:
+                given[key.lower()] = tuple(_numbers(sc[key], key))
         for n in n_list:
             for p in p_list:
-                spec = ScenarioSpec(kind=kind, n_scale=float(n), p=float(p),
-                                    k_squares=sc.get("K", 8),
-                                    nu=float(sc.get("nu", 0.25)), seed=seed,
-                                    i1=tuple(sc.get("I1", (0.0, 0.25))),
-                                    i2=tuple(sc.get("I2", (0.75, 1.0))))
+                spec = ScenarioSpec(kind=kind, n_scale=n, p=p, **given)
                 cells.setdefault((idx, spec.n_scale, spec.p), (idx, spec, sc))
     return [cells[key] for key in sorted(cells)]
 
 
 def _where(idx: int, spec: ScenarioSpec) -> str:
     return f"scenario {idx} ({spec.kind}, N={spec.n_scale:g}, p={spec.p:g})"
-
-
-def _ball_geometry(spec: ScenarioSpec) -> tuple[int, float]:
-    """(dimension, radius) of the cell's measurement ball."""
-    if spec.kind == "parabola-2d":
-        return 2, spec.n_scale
-    if spec.kind == "strip":
-        return 4, float(spec.k_squares)
-    return 4, spec.n_scale
-
-
-def _cell_ball(cfg: dict, spec: ScenarioSpec):
-    bc = cfg.get("ball")
-    if not bc:
-        return None
-    dim, radius = _ball_geometry(spec)
-    center = bc.get("center")
-    if center is not None and len(center) != dim:
-        # mixed-dimension scenario lists: the center applies only to cells
-        # of the matching dimension (the load check makes sure some match)
-        center = None
-    return measurement_ball(dim, radius,
-                            decay=float(bc.get("E", 100.0)),
-                            trunc=float(bc.get("T", 4.0)),
-                            center=center,
-                            shape=bc.get("shape", "plateau"))
-
-
-def _run_custom_cell(spec: ScenarioSpec, raw: dict, sampler: Sampler, ball):
-    """Linear measurement over a config-specified surface and/or field; the
-    scenario's own surface and field fill in the one not given."""
-    bundle = harness.scenario(spec)
-    surface = _build_surface(raw["surface"]) if "surface" in raw else bundle.surface
-    amp = (_build_field(raw["field"], cap_level_for(spec.n_scale), spec.seed)
-           if "field" in raw else bundle.fields[0])
-    rep = measure_linear(surface, amp, spec.n_scale, spec.p, sampler, ball=ball)
-    rep.kind = spec.kind
-    rep.meta["customized"] = sorted(k for k in ("surface", "field") if k in raw)
-    return rep
 
 
 def _fmt(x) -> str:
@@ -281,29 +268,21 @@ def _config_error(exc: Exception) -> int:
 
 def cmd_measure(args) -> int:
     try:
-        cfg = load_config(args.config)
+        cfg, sampler, cells = load_config(args.config)
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         return _config_error(exc)
-    sampler = _sampler_from(cfg, cfg["seed"])
     time_budget = cfg.get("time_budget_s")
 
-    def run_one(item):
-        idx, spec, raw = item
-        ball = _cell_ball(cfg, spec)
-        if "surface" in raw or "field" in raw:
-            rep = _run_custom_cell(spec, raw, sampler, ball)
-        else:
-            rep = run_cell(spec, sampler, ball=ball)
+    def run_one(idx, spec, ball, overrides):
+        rep = run_cell(spec, sampler, ball=ball, **overrides)
         if time_budget is not None and rep.runtime_ms / 1e3 > time_budget:
-            rep.meta["budget_warning"] = (
-                f"cell ran {rep.runtime_ms / 1e3:.1f}s over the "
-                f"{time_budget}s budget")
-            print(f"warning: {_where(idx, spec)}: {rep.meta['budget_warning']}",
-                  file=sys.stderr)
+            warning = f"cell ran {rep.runtime_ms / 1e3:.1f}s over the {time_budget}s budget"
+            rep.meta["budget_warning"] = warning
+            print(f"warning: {_where(idx, spec)}: {warning}", file=sys.stderr)
         return rep
 
     try:
-        reports = [run_one(item) for item in _expand_cells(cfg)]
+        reports = [run_one(*cell) for cell in cells]
     except PoisonedEstimateError as exc:
         print(f"numeric poisoning: {exc}", file=sys.stderr)
         return EXIT_POISONED
@@ -344,14 +323,7 @@ def cmd_example(args) -> int:
                             k_squares=args.K, nu=args.nu, seed=args.seed)
         harness.scenario(spec)
         sampler = Sampler(budget=args.budget, seed=args.seed)
-        dim, radius = _ball_geometry(spec)
-        center = None
-        if args.center:
-            center = [float(v) for v in args.center.split(",")]
-            if len(center) != dim:
-                raise ValueError(f"--center needs {dim} coordinates for {args.kind}, "
-                                 f"got {len(center)}")
-        ball = measurement_ball(dim, radius, center=center)
+        ball = spec.ball([float(v) for v in args.center.split(",")] if args.center else None)
     except ValueError as exc:
         return _config_error(exc)
     try:
@@ -536,12 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("example", help="run a single canonical scenario")
     e.add_argument("--kind", required=True, choices=harness.SCENARIO_KINDS)
-    e.add_argument("--N", type=float, default=64)
-    e.add_argument("--p", type=float, default=6)
-    e.add_argument("--K", type=int, default=8)
-    e.add_argument("--nu", type=float, default=0.25)
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--budget", type=int, default=20000)
+    e.add_argument("--N", type=float, default=ScenarioSpec.n_scale)
+    e.add_argument("--p", type=float, default=ScenarioSpec.p)
+    e.add_argument("--K", type=int, default=ScenarioSpec.k_squares)
+    e.add_argument("--nu", type=float, default=ScenarioSpec.nu)
+    e.add_argument("--seed", type=int, default=ScenarioSpec.seed)
+    e.add_argument("--budget", type=int, default=Sampler.budget)
     e.add_argument("--center", default=None,
                    help="comma-separated ball center override")
     e.set_defaults(func=cmd_example)

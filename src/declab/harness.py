@@ -539,6 +539,7 @@ SEPARABLE_COEFFS = QuadCoeffs(1.0, 0.0, 0.0, 0.0, 0.0, 1.0)   # (t, s, t^2, s^2)
 
 SCENARIO_KINDS = ("indicator", "flat-line", "strip", "random-phase",
                   "bilinear-pair", "curve-bilinear", "parabola-2d")
+LINEAR_KINDS = ("indicator", "random-phase", "flat-line")    # overridable in run_cell
 
 
 @dataclass(frozen=True)
@@ -555,6 +556,20 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
+
+    @property
+    def dim(self) -> int:
+        """The ball's dimension: 2 for the planar calibration, else 4."""
+        return 2 if self.kind == "parabola-2d" else 4
+
+    def ball(self, center=None, **weight) -> BallSpec:
+        """The cell's measurement ball, of radius K for the strip and N otherwise;
+        weight is `measurement_ball`'s decay, trunc and shape."""
+        if center is not None and len(center) != self.dim:
+            raise ValueError(f"a {self.kind} ball center needs {self.dim} coordinates, "
+                             f"got {len(center)}")
+        radius = self.k_squares if self.kind == "strip" else self.n_scale
+        return measurement_ball(self.dim, float(radius), center=center, **weight)
 
 
 def predicted_exponent(kind: str, p: float, aggregate: str = "lp"):
@@ -641,14 +656,22 @@ def scenario(spec: ScenarioSpec) -> ScenarioBundle:
                           *predicted_exponent(kind, spec.p, fit_aggregate(kind)))
 
 
-def run_cell(spec: ScenarioSpec, sampler: Sampler,
-             ball: BallSpec | None = None) -> DecouplingReport:
-    """Run one (scenario, N, p) measurement cell."""
+def run_cell(spec: ScenarioSpec, sampler: Sampler, ball: BallSpec | None = None,
+             surface: SurfaceEvaluator | None = None,
+             field: AmplitudeField | None = None) -> DecouplingReport:
+    """Run one (scenario, N, p) measurement cell.  A kind in `LINEAR_KINDS`
+    may take a surface, a field or both in place of its scenario's; the cell
+    then lists them in meta["customized"] and carries no predicted exponent,
+    since it measures another input than its kind names."""
     bundle = scenario(spec)
     kind = spec.kind
-    if kind in ("indicator", "random-phase", "flat-line"):
-        rep = measure_linear(bundle.surface, bundle.fields[0], spec.n_scale,
-                             spec.p, sampler, ball=ball)
+    customized = [k for k, v in (("field", field), ("surface", surface)) if v is not None]
+    if customized and kind not in LINEAR_KINDS:
+        raise ValueError(f"surface/field overrides apply to the linear kinds only, not {kind}")
+    if kind in LINEAR_KINDS:
+        rep = measure_linear(bundle.surface if surface is None else surface,
+                             bundle.fields[0] if field is None else field,
+                             spec.n_scale, spec.p, sampler, ball=ball)
     elif kind == "strip":
         rep = measure_trivial(bundle.surface, bundle.fields[0], bundle.squares,
                               spec.p, sampler, ball=ball)
@@ -662,9 +685,12 @@ def run_cell(spec: ScenarioSpec, sampler: Sampler,
     else:
         rep = parabola_reference(spec.n_scale, spec.p, sampler, ball=ball)
     rep.kind = kind
-    rep.meta.setdefault("predicted_exponent",
-                        float(bundle.predicted) if bundle.predicted is not None else None)
-    rep.meta.setdefault("prediction_provenance", bundle.provenance)
+    if customized:
+        rep.meta["customized"] = customized
+    else:
+        rep.meta.setdefault("predicted_exponent",
+                            float(bundle.predicted) if bundle.predicted is not None else None)
+        rep.meta.setdefault("prediction_provenance", bundle.provenance)
     return rep
 
 

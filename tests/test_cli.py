@@ -287,6 +287,40 @@ def test_override_on_wrong_kind_rejected(tmp_path):
     assert rc == EXIT_SCHEMA
 
 
+def test_example_and_one_cell_measure_give_one_report(tmp_path, capsys):
+    # both build the spec, its ball and the sampler from the same defaults and
+    # run them through run_cell
+    assert main(["example", "--kind", "random-phase", "--N", "16", "--budget", "2048",
+                 "--seed", "5"]) == EXIT_OK
+    example = json.loads(capsys.readouterr().out)
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, seed=5, scenarios=[{"kind": "random-phase", "N": 16}],
+                 sampler={"budget": 2048})
+    out = tmp_path / "report.json"
+    assert main(["measure", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    measured = json.loads(out.read_text())["reports"][0]
+    for rep in (example, measured):
+        del rep["runtime_ms"]
+    assert measured == example
+
+
+def test_each_override_is_built_once_per_cell(tmp_path, monkeypatch):
+    calls = []
+    build = cli._build_field
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "_build_field", counted)
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, scenarios=[{"kind": "indicator", "N": [16, 64],
+                                       "field": {"mode": "random-phase", "seed": 3}}],
+                 sampler={"budget": 1024, "seed": 4})
+    assert main(["measure", "--config", str(cfg_path)]) == EXIT_OK
+    assert len(calls) == 2
+
+
 def test_center_period_translation_invariance(capsys):
     # the flat-line kernel is periodic in the second frequency coordinate
     # with period sqrt(N); re-centering the ball by one period reproduces
@@ -384,6 +418,26 @@ def test_numeric_poisoning_exit(tmp_path, monkeypatch):
      "missing key 'N' in field"),
     ({"kind": "indicator", "N": [16], "surface": {"type": "quad"}}, None,
      "missing key 'A' in surface"),
+    ({"kind": "indicator", "N": [16], "p": [True]}, None, "p must be a number"),
+    ({"kind": "indicator", "N": [True]}, None, "N must be a number"),
+    ({"kind": "strip", "K": True}, None, "K must be an integer"),
+    ({"kind": "indicator", "N": ["16"]}, None, "N must be a number"),
+    ({"kind": "bilinear-pair", "N": [16], "nu": "0.25"}, None, "nu must be a number"),
+    ({"kind": "curve-bilinear", "N": [16], "I1": [0, "0.25"]}, None, "I1 must be a number"),
+    ({"kind": "indicator", "N": [16],
+      "surface": {"type": "quad", "A": [True, 0, 0, 0, 0, 1]}}, None,
+     "surface A must be a number"),
+    ({"kind": "indicator", "N": [16],
+      "surface": {"type": "lift", "I2": [0.75, "1"]}}, None, "surface I2 must be a number"),
+    ({"kind": "indicator", "N": [16],
+      "field": {"mode": "atomic", "kind": "flat-line", "N": "64"}}, None,
+     "field N must be a number"),
+    ({"kind": "indicator", "N": [16],
+      "field": {"mode": "atomic", "points": [["0.5", 0.5]]}}, None,
+     "field point must be a number"),
+    ({"kind": "indicator", "N": [16],
+      "field": {"mode": "atomic", "kind": "other", "points": [[0.5, 0.5]]}}, None,
+     "unknown atomic field kind 'other'"),
 ], ids=["N=0", "N=-4", "p=0.5", "strip-K=3", "strip-K=0", "nu=0.9", "budget=256",
         "strategy=rqmc", "proposal=defensive", "chunk=0", "chunk=-4", "atomic-nan-point",
         "curve-I1-off-grid", "curve-too-close", "strip-K=4.5", "strategy=lattice",
@@ -392,7 +446,9 @@ def test_numeric_poisoning_exit(tmp_path, monkeypatch):
         "budget=true", "chunk=4096.7", "chunk=true", "scenario-seed=2.5",
         "scenario-seed=false", "field-seed=2.5", "field-seed=true", "amps-one-number-list",
         "amps-three-numbers", "amps-string", "amps-bool-part", "field-no-points",
-        "flat-line-field-no-N", "quad-surface-no-A"])
+        "flat-line-field-no-N", "quad-surface-no-A", "p=true", "N=true", "strip-K=true",
+        "N-string", "nu-string", "curve-I1-string", "quad-A-bool", "lift-I2-string",
+        "flat-line-field-N-string", "atomic-point-string", "atomic-kind-other"])
 def test_bad_value_rejected_at_load(tmp_path, capsys, scenario, sampler, message):
     cfg_path = tmp_path / "run.json"
     outputs = {"report": str(tmp_path / "report.json"), "csv": str(tmp_path / "rows.csv")}
@@ -434,8 +490,12 @@ def test_bad_time_budget_rejected_at_load(tmp_path, capsys, budget):
     {"center": [0, float("inf"), 0, 0]},
     {"shape": "box"},
     {"center": [5, 0, 0]},
+    {"T": "4"},
+    {"E": "100"},
+    {"center": [True, 0, 0, 0]},
+    {"center": 0},
 ], ids=["E=2", "T=-1", "T=inf", "E=nan", "center-nan", "center-inf", "shape=box",
-        "center-3d"])
+        "center-3d", "T-string", "E-string", "center-bool", "center-number"])
 def test_bad_ball_rejected_at_load(tmp_path, capsys, ball):
     # each used to pass the load check and fail mid-run with a traceback
     cfg_path = tmp_path / "run.json"

@@ -433,6 +433,51 @@ def test_run_cell_dispatch_all_kinds():
         assert np.isfinite(rep.ratio_lp)
 
 
+def without_runtime(rep):
+    row = rep.to_row()
+    del row["runtime_ms"]
+    return row
+
+
+@pytest.mark.parametrize("kind", harness.SCENARIO_KINDS)
+def test_run_cell_default_ball_is_the_spec_ball(kind):
+    # the ball a caller builds from the spec is the one the measurement
+    # builds when given none
+    spec = ScenarioSpec(kind=kind, n_scale=16, k_squares=4)
+    default = run_cell(spec, small_sampler(seed=21, budget=1024))
+    given = run_cell(spec, small_sampler(seed=21, budget=1024), ball=spec.ball())
+    assert without_runtime(given) == without_runtime(default)
+
+
+def test_spec_ball_per_kind():
+    assert ScenarioSpec(kind="parabola-2d", n_scale=64).ball() == measurement_ball(2, 64.0)
+    assert ScenarioSpec(kind="strip", n_scale=64, k_squares=8).ball() == measurement_ball(4, 8.0)
+    assert ScenarioSpec(kind="indicator", n_scale=64).ball(
+        (1, 0, 0, 0), decay=50.0, trunc=2.0, shape="strict") == measurement_ball(
+        4, 64.0, decay=50.0, trunc=2.0, center=(1, 0, 0, 0), shape="strict")
+    with pytest.raises(ValueError, match="needs 2 coordinates"):
+        ScenarioSpec(kind="parabola-2d").ball((0, 0, 0, 0))
+
+
+def test_run_cell_field_override_is_the_linear_measurement():
+    spec = ScenarioSpec(kind="indicator", n_scale=16)
+    field = AmplitudeField.random_phase(cap_level_for(16), 3)
+    rep = run_cell(spec, small_sampler(seed=22), field=field)
+    want = measure_linear(SURF, field, 16, 6.0, small_sampler(seed=22))
+    want.kind = "indicator"
+    assert without_runtime(rep) == without_runtime(want)
+    assert rep.per_cap == want.per_cap
+    # a customised cell measures another input than its kind names
+    assert rep.meta == {"customized": ["field"]}
+
+
+@pytest.mark.parametrize("kind", sorted(set(harness.SCENARIO_KINDS) - set(harness.LINEAR_KINDS)))
+def test_run_cell_override_on_a_nonlinear_kind_rejected(kind):
+    spec = ScenarioSpec(kind=kind, n_scale=16, k_squares=4)
+    with pytest.raises(ValueError, match="overrides apply to the linear"):
+        run_cell(spec, small_sampler(), surface=SURF)
+
+
 def materialised(blocks):
     """The (caps, B) table of `_CapGroups.cap_rows`' row blocks."""
     return np.concatenate([b.dense() if isinstance(b, OuterBlock) else b for b in blocks])
