@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 import time
+from itertools import product
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .grid import DyadicSquare, cap_level_for
 from .harness import (DecouplingReport, Sampler, ScenarioSpec, emit_plotdata, run_cell,
                       slope_series)
 from .harness import measure_linear  # noqa: F401 (perfbench/tracing.py patches this name)
-from .norms import PoisonedEstimateError, weight_mass
+from .norms import PoisonedEstimateError
 from .rescale import rescaling_residual
 from .transversality import (jacobian_residual, min_abs_form,
                              transversality_graph)
@@ -95,71 +96,23 @@ def load_config(path: str) -> tuple[dict, Sampler, list]:
         raise ConfigError("config requires a non-empty scenarios list")
     for sc in scenarios:
         _check_keys(sc, _SCENARIO_KEYS, "scenario")
-        if sc.get("kind") not in harness.SCENARIO_KINDS:
-            raise ConfigError(f"unknown scenario kind {sc.get('kind')!r}")
-        if "surface" in sc:
-            _check_keys(sc["surface"], _SURFACE_KEYS, "surface")
-        if "field" in sc:
-            _check_keys(sc["field"], _FIELD_KEYS, "field")
-        if ("surface" in sc or "field" in sc) and sc["kind"] not in harness.LINEAR_KINDS:
+        if ("surface" in sc or "field" in sc) and sc.get("kind") not in harness.LINEAR_KINDS:
             raise ConfigError("surface/field overrides apply to the linear "
                               "measurement kinds only")
     _check_keys(cfg.get("sampler", {}), _SAMPLER_KEYS, "sampler")
     _check_keys(cfg.get("ball", {}), _BALL_KEYS, "ball")
     _check_keys(cfg.get("outputs", {}), _OUTPUT_KEYS, "outputs")
+    for key, path in cfg.get("outputs", {}).items():
+        if not isinstance(path, str) or not path:
+            raise ConfigError(f"outputs {key} must be a non-empty path string, got {path!r}")
     budget = _number(cfg.get("time_budget_s", 0.0), "time_budget_s")
     if not 0 <= budget < np.inf:
         raise ConfigError(f"time_budget_s must be a finite number >= 0, got {budget!r}")
     return cfg, *_build_cells(cfg)
 
 
-def _build_cells(cfg: dict) -> tuple[Sampler, list]:
-    """The sampler and each cell's (scenario index, spec, ball, overrides),
-    overrides as `run_cell` takes them, all built once, with the balls'
-    weight mass, so that a value the harness rejects fails at load."""
-    try:
-        sampler = _sampler_from(cfg)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"sampler: {exc}") from exc
-    specs = _expand_cells(cfg)
-    bc = cfg.get("ball", {})
-    weight = {name: _number(bc[key], f"ball {key}")
-              for key, name in (("E", "decay"), ("T", "trunc")) if key in bc}
-    if "shape" in bc:
-        weight["shape"] = bc["shape"]
-    center = bc.get("center")
-    if center is not None:
-        center = _numbers(center, "ball center")
-        dims = sorted({spec.dim for _, spec, _ in specs})
-        if len(center) not in dims:
-            raise ConfigError(f"ball center must list {' or '.join(map(str, dims))} "
-                              f"coordinates (the dimension of some cell), got {center!r}")
-    cells = []
-    for idx, spec, raw in specs:
-        part = "scenario"           # the object whose key a KeyError names
-        overrides = {}
-        try:
-            harness.scenario(spec)
-            if "surface" in raw:
-                part = "surface"
-                overrides["surface"] = _build_surface(raw["surface"])
-            if "field" in raw:
-                part = "field"
-                overrides["field"] = _build_field(raw["field"], cap_level_for(spec.n_scale),
-                                                  spec.seed)
-            # a center applies to the cells of its dimension only
-            fits = center is not None and len(center) == spec.dim
-            ball = spec.ball(center if fits else None, **weight)
-            weight_mass(ball)
-        except KeyError as exc:
-            raise ConfigError(f"{_where(idx, spec)}: missing key {exc} in {part}") from exc
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{_where(idx, spec)}: {exc}") from exc
-        cells.append((idx, spec, ball, overrides))
-    return sampler, cells
-
-
 def _build_surface(spec: dict):
+    _check_keys(spec, _SURFACE_KEYS, "surface")
     kind = spec.get("type")
     if kind == "quad":
         return quad_surface(_numbers(spec["A"], "surface A"))
@@ -173,6 +126,7 @@ def _build_surface(spec: dict):
 
 
 def _build_field(spec: dict, level: int, default_seed: int) -> AmplitudeField:
+    _check_keys(spec, _FIELD_KEYS, "field")
     mode = spec.get("mode", "const")
     if mode == "const":
         return AmplitudeField.constant(level)
@@ -210,13 +164,26 @@ def _sampler_from(cfg: dict) -> Sampler:
     return Sampler(seed=_integer(sc.get("seed", cfg["seed"]), "sampler seed"), **given)
 
 
-def _expand_cells(cfg: dict) -> list[tuple[int, ScenarioSpec, dict]]:
-    """(scenario index, spec, raw scenario) for each distinct (index, N, p)
-    cell, sorted by (index, N, p); a repeated N or p runs once.  The seed
-    defaults to the config's, every other spec field to `ScenarioSpec`'s."""
+def _build_cells(cfg: dict) -> tuple[Sampler, list]:
+    """The sampler and each distinct (scenario index, N, p) cell's (location,
+    spec, ball, overrides), sorted by (index, N, p), overrides as `run_cell`
+    takes them; a repeated N or p runs once.  The seed defaults to the
+    config's, every other value to `ScenarioSpec`'s, `Sampler`'s and
+    `measurement_ball`'s.  Each object is built once and checks its values
+    as it is built: its ValueError is a ConfigError that names the cell."""
+    try:
+        sampler = _sampler_from(cfg)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"sampler: {exc}") from exc
+    bc = cfg.get("ball", {})
+    weight = {name: _number(bc[key], f"ball {key}")
+              for key, name in (("E", "decay"), ("T", "trunc")) if key in bc}
+    if "shape" in bc:
+        weight["shape"] = bc["shape"]
+    center = None if bc.get("center") is None else _numbers(bc["center"], "ball center")
     cells = {}
     for idx, sc in enumerate(cfg["scenarios"]):
-        kind = sc["kind"]
+        kind = sc.get("kind")
         n_list, p_list = ([_number(v, key) for v in (vals if isinstance(vals, list) else [vals])]
                           for key, vals in (("N", sc.get("N", ScenarioSpec.n_scale)),
                                             ("p", sc.get("p", ScenarioSpec.p))))
@@ -232,15 +199,33 @@ def _expand_cells(cfg: dict) -> list[tuple[int, ScenarioSpec, dict]]:
         for key in ("I1", "I2"):
             if key in sc:
                 given[key.lower()] = tuple(_numbers(sc[key], key))
-        for n in n_list:
-            for p in p_list:
+        for n, p in product(n_list, p_list):
+            if (idx, n, p) in cells:
+                continue
+            where = f"scenario {idx} ({kind}, N={n:g}, p={p:g})"
+            part = "scenario"           # the object whose key a KeyError names
+            overrides = {}
+            try:
                 spec = ScenarioSpec(kind=kind, n_scale=n, p=p, **given)
-                cells.setdefault((idx, spec.n_scale, spec.p), (idx, spec, sc))
-    return [cells[key] for key in sorted(cells)]
-
-
-def _where(idx: int, spec: ScenarioSpec) -> str:
-    return f"scenario {idx} ({spec.kind}, N={spec.n_scale:g}, p={spec.p:g})"
+                if "surface" in sc:
+                    part = "surface"
+                    overrides["surface"] = _build_surface(sc["surface"])
+                if "field" in sc:
+                    part = "field"
+                    overrides["field"] = _build_field(sc["field"], cap_level_for(n), spec.seed)
+                # a center applies to the cells of its dimension only
+                fits = center is not None and len(center) == spec.dim
+                cells[idx, n, p] = (where, spec, spec.ball(center if fits else None, **weight),
+                                    overrides)
+            except KeyError as exc:
+                raise ConfigError(f"{where}: missing key {exc} in {part}") from exc
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+    dims = sorted({spec.dim for _, spec, _, _ in cells.values()})
+    if center is not None and len(center) not in dims:
+        raise ConfigError(f"ball center must list {' or '.join(map(str, dims))} "
+                          f"coordinates (the dimension of some cell), got {center!r}")
+    return sampler, [cells[key] for key in sorted(cells)]
 
 
 def _fmt(x) -> str:
@@ -273,12 +258,12 @@ def cmd_measure(args) -> int:
         return _config_error(exc)
     time_budget = cfg.get("time_budget_s")
 
-    def run_one(idx, spec, ball, overrides):
+    def run_one(where, spec, ball, overrides):
         rep = run_cell(spec, sampler, ball=ball, **overrides)
         if time_budget is not None and rep.runtime_ms / 1e3 > time_budget:
             warning = f"cell ran {rep.runtime_ms / 1e3:.1f}s over the {time_budget}s budget"
             rep.meta["budget_warning"] = warning
-            print(f"warning: {_where(idx, spec)}: {warning}", file=sys.stderr)
+            print(f"warning: {where}: {warning}", file=sys.stderr)
         return rep
 
     try:
@@ -321,7 +306,6 @@ def cmd_example(args) -> int:
     try:
         spec = ScenarioSpec(kind=args.kind, n_scale=args.N, p=args.p,
                             k_squares=args.K, nu=args.nu, seed=args.seed)
-        harness.scenario(spec)
         sampler = Sampler(budget=args.budget, seed=args.seed)
         ball = spec.ball([float(v) for v in args.center.split(",")] if args.center else None)
     except ValueError as exc:

@@ -492,6 +492,8 @@ class AmplitudeField:
     @classmethod
     def random_phase(cls, level: int, seed: int,
                      support: Sequence[DyadicSquare] | None = None) -> "AmplitudeField":
+        if seed < 0:
+            raise ValueError(f"field seed must be >= 0, got {seed}")
         cells = tuple(support) if support is not None else tuple(CapPartition.full(level))
         rng = np.random.default_rng(seed)
         coeffs = np.exp(TWO_PI_I * rng.random(len(cells)))

@@ -34,7 +34,7 @@ from .geometry import (CurveEvaluator, QuadCoeffs, SurfaceEvaluator, curve_lift,
 from .grid import CapPartition, DyadicSquare, cap_level_for, square_at
 from .norms import (BallSpec, NormEstimate, OuterBlock, Sampler, sphere_area,
                     weighted_norm_batch)
-from .transversality import min_abs_form
+from .transversality import require_transverse
 
 DEFAULT_DECAY = 100.0
 DEFAULT_TRUNC = 4.0
@@ -44,14 +44,6 @@ X_MAX_TAIL = 1e-9
 
 class AllCapsEmptyError(ValueError):
     pass
-
-
-class NonTransverseError(ValueError):
-    def __init__(self, min_form: float, required: float):
-        super().__init__(
-            f"squares are not transverse: min |Q| = {min_form:.3g} < {required:.3g}")
-        self.min_form = min_form
-        self.required = required
 
 
 class OverlappingSquaresError(ValueError):
@@ -364,9 +356,7 @@ def _pair_sources(surface: SurfaceEvaluator, field1: AmplitudeField, r1: DyadicS
     coeffs = getattr(surface, "coeffs", None)
     if coeffs is None:
         raise ValueError("bilinear transversality is defined for quadratic surfaces")
-    min_form = min_abs_form(coeffs, r1, r2)
-    if min_form < nu * (1 - 1e-12):
-        raise NonTransverseError(min_form, nu)
+    min_form = require_transverse(coeffs, r1, r2, nu)
     m = cap_level_for(n_scale)
     restricted = [field1.restrict(r1), field2.restrict(r2)]
     caps = [_support_caps(f, m) for f in restricted]
@@ -542,8 +532,21 @@ SCENARIO_KINDS = ("indicator", "flat-line", "strip", "random-phase",
 LINEAR_KINDS = ("indicator", "random-phase", "flat-line")    # overridable in run_cell
 
 
+def _pair_squares(nu: float) -> list[DyadicSquare]:
+    """The bilinear pair: [0, 1/4]^2 and the level-2 diagonal square of index
+    round(4 (1/4 + sqrt(nu))), which is on the grid for nu < 0.625^2."""
+    if not 0 <= nu < 0.390625:
+        raise ValueError(f"bilinear-pair needs 0 <= nu < 0.390625 for its squares, got {nu:g}")
+    idx = int(round((0.25 + np.sqrt(nu)) * 4))
+    return [DyadicSquare(2, 0, 0), DyadicSquare(2, idx, idx)]
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """One scenario cell.  Building it checks every value its kind's cell
+    reads (N, p, seed; the strip's K, the curve pair's intervals, the
+    bilinear pair's nu-transverse squares), so a spec that builds runs."""
+
     kind: str
     n_scale: float = 64.0
     p: float = 6.0
@@ -556,6 +559,19 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
+        if not 1.0 <= self.p < np.inf:
+            raise ValueError(f"p must be finite and >= 1, got {self.p:g}")
+        m = cap_level_for(self.n_scale)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        k = self.k_squares
+        if self.kind == "strip" and (not isinstance(k, (int, np.integer))
+                                     or k < 1 or k & (k - 1)):
+            raise ValueError(f"strip scenario needs a power-of-two square count, got {k!r}")
+        if self.kind == "curve-bilinear":
+            _curve_caps(self.i1, self.i2, m, CURVE_MIN_DIST)
+        if self.kind == "bilinear-pair":
+            require_transverse(SEPARABLE_COEFFS, *_pair_squares(self.nu), self.nu)
 
     @property
     def dim(self) -> int:
@@ -609,20 +625,16 @@ def flat_line_points(n_scale: float) -> np.ndarray:
 
 @dataclass
 class ScenarioBundle:
-    spec: ScenarioSpec
     surface: SurfaceEvaluator | None
     fields: list[AmplitudeField]
     squares: list[DyadicSquare]
-    predicted: object
-    provenance: str
 
 
 def scenario(spec: ScenarioSpec) -> ScenarioBundle:
-    """Construct the canonical surface/field configuration for a scenario;
-    raises ValueError for a spec that its measurement would reject."""
+    """The canonical surface, fields and squares of the spec's kind (none
+    for curve-bilinear, whose measurement builds the curve's lines).  The
+    spec checked its values when it was built, so this only builds."""
     kind = spec.kind
-    if not 1.0 <= spec.p < np.inf:
-        raise ValueError(f"p must be finite and >= 1, got {spec.p:g}")
     m = cap_level_for(spec.n_scale)
     surface, fields, squares = None, [], []
     if kind == "indicator":
@@ -635,25 +647,17 @@ def scenario(spec: ScenarioSpec) -> ScenarioBundle:
         surface = quad_surface(FLAT_LINE_COEFFS)
         fields = [AmplitudeField.atomic(pts, np.ones(len(pts)))]
     elif kind == "strip":
-        k = spec.k_squares
-        if not isinstance(k, (int, np.integer)) or k < 1 or k & (k - 1):
-            raise ValueError(f"strip scenario needs a power-of-two square count, got {k!r}")
-        lev = int(k).bit_length() - 1
-        squares = [DyadicSquare(lev, 0, j) for j in range(k)]
+        lev = int(spec.k_squares).bit_length() - 1
+        squares = [DyadicSquare(lev, 0, j) for j in range(spec.k_squares)]
         surface = quad_surface(FLAT_LINE_COEFFS)
         fields = [AmplitudeField.constant(lev, support=squares)]
     elif kind == "bilinear-pair":
-        idx = int(round((0.25 + np.sqrt(spec.nu)) * 4))
-        squares = [DyadicSquare(2, 0, 0), DyadicSquare(2, idx, idx)]
+        squares = _pair_squares(spec.nu)
         surface = quad_surface(SEPARABLE_COEFFS)
         fields = [AmplitudeField.random_phase(m, spec.seed + k,
                                               support=CapPartition.of_region(m, r).squares)
                   for k, r in enumerate(squares)]
-    elif kind == "curve-bilinear":
-        # the measurement builds the curve's interval evaluators
-        _curve_caps(spec.i1, spec.i2, m, CURVE_MIN_DIST)
-    return ScenarioBundle(spec, surface, fields, squares,
-                          *predicted_exponent(kind, spec.p, fit_aggregate(kind)))
+    return ScenarioBundle(surface, fields, squares)
 
 
 def run_cell(spec: ScenarioSpec, sampler: Sampler, ball: BallSpec | None = None,
@@ -688,9 +692,9 @@ def run_cell(spec: ScenarioSpec, sampler: Sampler, ball: BallSpec | None = None,
     if customized:
         rep.meta["customized"] = customized
     else:
-        rep.meta.setdefault("predicted_exponent",
-                            float(bundle.predicted) if bundle.predicted is not None else None)
-        rep.meta.setdefault("prediction_provenance", bundle.provenance)
+        predicted, provenance = predicted_exponent(kind, spec.p, fit_aggregate(kind))
+        rep.meta["predicted_exponent"] = None if predicted is None else float(predicted)
+        rep.meta["prediction_provenance"] = provenance
     return rep
 
 

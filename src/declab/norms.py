@@ -62,7 +62,7 @@ class BallSpec:
 
     shape "strict" uses (1+r/R)^-E; shape "plateau" uses
     (1+max(0, r-R)/R)^-E, which is 1 on the ball itself.  Integrals run
-    over the truncated region r <= trunc * R.
+    over the truncated region r <= trunc * R; E must exceed the dimension.
     """
 
     center: tuple[float, ...]
@@ -80,6 +80,8 @@ class BallSpec:
             raise ValueError("radius must be positive")
         if not math.isfinite(self.decay):
             raise ValueError(f"decay exponent must be finite, got {self.decay}")
+        if self.decay <= self.dim:
+            raise ValueError(f"decay exponent must exceed the dimension, got {self.decay:g}")
         if not math.isfinite(self.trunc):
             raise ValueError(f"truncation factor must be finite, got {self.trunc}")
         if self.trunc <= 0:
@@ -134,8 +136,6 @@ def _radial_integrals(ball: BallSpec) -> tuple[float, float]:
     radial integral that lies beyond T.  d is an integer, so both have
     closed forms (DLMF 8.17); cached per (d, decay, T, shape)."""
     d, e, t = ball.dim, ball.decay, ball.trunc
-    if e <= d:
-        raise ValueError("decay exponent must exceed the dimension")
     key = (d, e, t, ball.shape)
     if key not in _radial_cache:
         integrals = _strict_integrals if ball.shape == "strict" else _plateau_integrals
@@ -263,19 +263,16 @@ class Sampler:
 class _MixtureProposal:
     """Defensive mixture of the ball weight and shrunken copies.
 
-    Components share the radial profile; shrinking radii put samples near
-    the center where extension operators concentrate, and the per-sample
-    density correction keeps every estimate unbiased for the target weight.
+    Components share the radial profile; radii shrinking by 4 down to the
+    floor put samples near the center, where extension operators peak, and
+    the per-sample density correction keeps every estimate unbiased.
     """
 
     def __init__(self, ball: BallSpec, defensive: bool, floor: float = 0.9):
         self.ball = ball
         radii = [ball.radius]
-        if defensive:
-            r = ball.radius / 4.0
-            while r > floor and len(radii) < 6:
-                radii.append(r)
-                r /= 4.0
+        while defensive and radii[-1] / 4.0 > floor:
+            radii.append(radii[-1] / 4.0)
         self.radii = np.array(radii)
         k = len(radii)
         self.alphas = np.array([1.0]) if k == 1 else np.array([0.5] + [0.5 / (k - 1)] * (k - 1))

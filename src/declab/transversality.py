@@ -144,6 +144,22 @@ def min_abs_form(coeffs_or_form, sq1: DyadicSquare, sq2: DyadicSquare) -> float:
                                np.array(ylo), np.array(yhi)))
 
 
+class NonTransverseError(ValueError):
+    def __init__(self, min_form: float, required: float):
+        super().__init__(
+            f"squares are not transverse: min |Q| = {min_form:.3g} < {required:.3g}")
+        self.min_form = min_form
+        self.required = required
+
+
+def require_transverse(coeffs, sq1: DyadicSquare, sq2: DyadicSquare, nu: float) -> float:
+    """min_abs_form of the pair; NonTransverseError if it is below nu."""
+    min_form = min_abs_form(coeffs, sq1, sq2)
+    if min_form < nu * (1 - 1e-12):
+        raise NonTransverseError(min_form, nu)
+    return min_form
+
+
 def min_abs_form_grid(coeffs_or_form, sq1: DyadicSquare, sq2: DyadicSquare,
                       resolution: int = 1024) -> float:
     """Dense-grid fallback over the difference rectangle; the test oracle for

@@ -124,10 +124,12 @@ def test_example_subcommand(capsys):
     ["--kind", "indicator", "--N", "16", "--budget", "1024", "--seed", "-1"],
     ["--kind", "indicator", "--N", "16", "--p", "inf"],
     ["--kind", "indicator", "--N", "inf"],
+    ["--kind", "bilinear-pair", "--nu", "0.3"],
+    ["--kind", "indicator", "--N", "16", "--p", "0.5"],
 ], ids=["budget=10", "N=0", "strip-K=3", "strip-K=0", "center=1,a",
         "indicator-2d-center", "parabola-4d-center", "flat-line-nan-center",
         "indicator-inf-center", "strip-minus-inf-center", "parabola-nan-center",
-        "seed=-1", "p=inf", "N=inf"])
+        "seed=-1", "p=inf", "N=inf", "bilinear-pair-nu=0.3", "p=0.5"])
 def test_example_bad_input_is_a_config_error(capsys, argv):
     # every case fails before any sampling
     rc = main(["example", *argv])
@@ -321,6 +323,31 @@ def test_each_override_is_built_once_per_cell(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_measure_and_example_build_each_scenario_once(tmp_path, capsys, monkeypatch):
+    # the specs check themselves, so loading a config builds no bundle: each
+    # cell's canonical inputs are built once, by run_cell
+    from declab import harness
+    calls = []
+    build = harness.scenario
+
+    def counted(spec):
+        calls.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(harness, "scenario", counted)
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, scenarios=[{"kind": "indicator", "N": [16, 64]},
+                                      {"kind": "bilinear-pair", "N": 16, "p": 4}],
+                 sampler={"budget": 1024, "seed": 4})
+    assert main(["measure", "--config", str(cfg_path)]) == EXIT_OK
+    assert [(s.kind, s.n_scale) for s in calls] == [("indicator", 16), ("indicator", 64),
+                                                    ("bilinear-pair", 16)]
+    calls.clear()
+    assert main(["example", "--kind", "strip", "--K", "4", "--budget", "1024"]) == EXIT_OK
+    assert [s.kind for s in calls] == ["strip"]
+    capsys.readouterr()
+
+
 def test_center_period_translation_invariance(capsys):
     # the flat-line kernel is periodic in the second frequency coordinate
     # with period sqrt(N); re-centering the ball by one period reproduces
@@ -363,37 +390,41 @@ def test_numeric_poisoning_exit(tmp_path, monkeypatch):
     assert rc == 3
 
 
-@pytest.mark.parametrize("scenario, sampler, message", [
+@pytest.mark.parametrize("scenario, top, message", [
     ({"kind": "indicator", "N": [0]}, None, None),
     ({"kind": "indicator", "N": [-4]}, None, None),
     ({"kind": "indicator", "N": [16], "p": [0.5]}, None, None),
     ({"kind": "strip", "K": 3}, None, None),
     ({"kind": "strip", "K": 0}, None, None),
     ({"kind": "bilinear-pair", "N": [16], "nu": 0.9}, None, None),
-    ({"kind": "flat-line", "N": [16]}, {"strategy": "mc", "budget": 256, "seed": 1}, None),
-    ({"kind": "flat-line", "N": [16]}, {"strategy": "rqmc", "budget": 2048, "seed": 1}, None),
-    ({"kind": "flat-line", "N": [16]}, {"proposal": "defensive", "budget": 2048}, None),
-    ({"kind": "flat-line", "N": [16]}, {"chunk": 0, "budget": 2048}, None),
-    ({"kind": "flat-line", "N": [16]}, {"chunk": -4, "budget": 2048}, None),
+    ({"kind": "flat-line", "N": [16]},
+     {"sampler": {"strategy": "mc", "budget": 256, "seed": 1}}, None),
+    ({"kind": "flat-line", "N": [16]},
+     {"sampler": {"strategy": "rqmc", "budget": 2048, "seed": 1}}, None),
+    ({"kind": "flat-line", "N": [16]},
+     {"sampler": {"proposal": "defensive", "budget": 2048}}, None),
+    ({"kind": "flat-line", "N": [16]}, {"sampler": {"chunk": 0, "budget": 2048}}, None),
+    ({"kind": "flat-line", "N": [16]}, {"sampler": {"chunk": -4, "budget": 2048}}, None),
     ({"kind": "indicator", "N": [16],
       "field": {"mode": "atomic", "points": [[float("nan"), 0.5], [0.25, 0.75]]}}, None, None),
     ({"kind": "curve-bilinear", "N": [16], "I1": [0, 0.3]}, None, None),
     ({"kind": "curve-bilinear", "N": [16], "I1": [0, 0.25], "I2": [0.2, 0.5]}, None, None),
     ({"kind": "strip", "K": 4.5}, None, None),
-    ({"kind": "indicator", "N": [16]}, {"strategy": "lattice", "budget": 2048}, None),
-    ({"kind": "indicator", "N": [16]}, {"seed": -1, "budget": 2048}, None),
+    ({"kind": "indicator", "N": [16]},
+     {"sampler": {"strategy": "lattice", "budget": 2048}}, None),
+    ({"kind": "indicator", "N": [16]}, {"sampler": {"seed": -1, "budget": 2048}}, None),
     ({"kind": "indicator", "N": [16], "p": [float("inf")]}, None, None),
     ({"kind": "indicator", "N": [float("inf")]}, None, None),
     ({"kind": "indicator", "N": []}, None, None),
     ({"kind": "indicator", "N": [16], "p": []}, None, None),
     ({"kind": "strip", "N": [4, 16], "K": 8}, None, None),
-    ({"kind": "indicator", "N": [16]}, {"seed": 2.7, "budget": 2048}, None),
-    ({"kind": "indicator", "N": [16]}, {"seed": True, "budget": 2048}, None),
-    ({"kind": "indicator", "N": [16]}, {"budget": 1024.9}, None),
-    ({"kind": "indicator", "N": [16]}, {"budget": 2048.0}, None),
-    ({"kind": "indicator", "N": [16]}, {"budget": True}, None),
-    ({"kind": "indicator", "N": [16]}, {"budget": 2048, "chunk": 4096.7}, None),
-    ({"kind": "indicator", "N": [16]}, {"budget": 2048, "chunk": True}, None),
+    ({"kind": "indicator", "N": [16]}, {"sampler": {"seed": 2.7, "budget": 2048}}, None),
+    ({"kind": "indicator", "N": [16]}, {"sampler": {"seed": True, "budget": 2048}}, None),
+    ({"kind": "indicator", "N": [16]}, {"sampler": {"budget": 1024.9}}, None),
+    ({"kind": "indicator", "N": [16]}, {"sampler": {"budget": 2048.0}}, None),
+    ({"kind": "indicator", "N": [16]}, {"sampler": {"budget": True}}, None),
+    ({"kind": "indicator", "N": [16]}, {"sampler": {"budget": 2048, "chunk": 4096.7}}, None),
+    ({"kind": "indicator", "N": [16]}, {"sampler": {"budget": 2048, "chunk": True}}, None),
     ({"kind": "indicator", "N": [16], "seed": 2.5}, None, None),
     ({"kind": "indicator", "N": [16], "seed": False}, None, None),
     ({"kind": "indicator", "N": [16], "field": {"mode": "random-phase", "seed": 2.5}},
@@ -438,6 +469,19 @@ def test_numeric_poisoning_exit(tmp_path, monkeypatch):
     ({"kind": "indicator", "N": [16],
       "field": {"mode": "atomic", "kind": "other", "points": [[0.5, 0.5]]}}, None,
      "unknown atomic field kind 'other'"),
+    ({"kind": "bilinear-pair", "N": [16], "nu": 0.3}, None,
+     "squares are not transverse: min |Q| = 0.25 < 0.3"),
+    ({"kind": "bilinear-pair", "N": [16], "nu": -0.1}, None, "needs 0 <= nu < 0.390625"),
+    ({"kind": "indicator", "N": [16], "seed": -1}, None, "seed must be >= 0, got -1"),
+    ({"kind": "random-phase", "N": [16], "seed": -1}, None, "seed must be >= 0, got -1"),
+    ({"kind": "indicator", "N": [16], "field": {"mode": "random-phase", "seed": -1}}, None,
+     "field seed must be >= 0, got -1"),
+    ({"kind": "flat-line", "N": [16]}, {"outputs": {"report": True}},
+     "outputs report must be a non-empty path string"),
+    ({"kind": "flat-line", "N": [16]}, {"outputs": {"csv": 1}},
+     "outputs csv must be a non-empty path string"),
+    ({"kind": "flat-line", "N": [16]}, {"outputs": {"slopes": ""}}, "outputs slopes"),
+    ({"kind": "flat-line", "N": [16]}, {"outputs": {"plotdata": None}}, "outputs plotdata"),
 ], ids=["N=0", "N=-4", "p=0.5", "strip-K=3", "strip-K=0", "nu=0.9", "budget=256",
         "strategy=rqmc", "proposal=defensive", "chunk=0", "chunk=-4", "atomic-nan-point",
         "curve-I1-off-grid", "curve-too-close", "strip-K=4.5", "strategy=lattice",
@@ -448,13 +492,16 @@ def test_numeric_poisoning_exit(tmp_path, monkeypatch):
         "amps-three-numbers", "amps-string", "amps-bool-part", "field-no-points",
         "flat-line-field-no-N", "quad-surface-no-A", "p=true", "N=true", "strip-K=true",
         "N-string", "nu-string", "curve-I1-string", "quad-A-bool", "lift-I2-string",
-        "flat-line-field-N-string", "atomic-point-string", "atomic-kind-other"])
-def test_bad_value_rejected_at_load(tmp_path, capsys, scenario, sampler, message):
+        "flat-line-field-N-string", "atomic-point-string", "atomic-kind-other", "nu=0.3",
+        "nu=-0.1", "indicator-scenario-seed=-1", "random-phase-scenario-seed=-1",
+        "field-seed=-1",
+        "outputs-report=true", "outputs-csv=1", "outputs-slopes-empty",
+        "outputs-plotdata-null"])
+def test_bad_value_rejected_at_load(tmp_path, capsys, scenario, top, message):
+    # top: other top-level config entries, in place of the default ones
     cfg_path = tmp_path / "run.json"
     outputs = {"report": str(tmp_path / "report.json"), "csv": str(tmp_path / "rows.csv")}
-    overrides = {"scenarios": [scenario], "outputs": outputs}
-    if sampler is not None:
-        overrides["sampler"] = sampler
+    overrides = {"scenarios": [scenario], "outputs": outputs, **(top or {})}
     write_config(cfg_path, **overrides)
     with pytest.raises(ConfigError):
         load_config(str(cfg_path))

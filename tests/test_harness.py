@@ -10,7 +10,7 @@ from declab.geometry import moment_curve, quad_surface
 from declab.grid import CapPartition, DyadicSquare, cap_level_for
 from declab.harness import (FLAT_LINE_COEFFS, SEPARABLE_COEFFS,
                             AllCapsEmptyError, DecouplingReport, _CapGroups,
-                            NonTransverseError, OverlappingSquaresError,
+                            OverlappingSquaresError,
                             ScenarioSpec, curve_bilinear,
                             curve_product_identity_residual, emit_plotdata,
                             fit_slope, flat_line_points,
@@ -20,6 +20,7 @@ from declab.harness import (FLAT_LINE_COEFFS, SEPARABLE_COEFFS,
                             parabola_reference, predicted_exponent, run_cell,
                             scenario)
 from declab.norms import OuterBlock, Sampler, _MixtureProposal
+from declab.transversality import NonTransverseError
 
 SURF = quad_surface(SEPARABLE_COEFFS)
 
@@ -476,6 +477,46 @@ def test_run_cell_override_on_a_nonlinear_kind_rejected(kind):
     spec = ScenarioSpec(kind=kind, n_scale=16, k_squares=4)
     with pytest.raises(ValueError, match="overrides apply to the linear"):
         run_cell(spec, small_sampler(), surface=SURF)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"kind": "mystery"}, "unknown scenario kind 'mystery'"),
+    ({"kind": "indicator", "n_scale": 0.5}, "scale must be finite and >= 1"),
+    ({"kind": "flat-line", "n_scale": math.inf}, "scale must be finite and >= 1"),
+    ({"kind": "indicator", "p": 0.5}, "p must be finite and >= 1"),
+    ({"kind": "strip", "p": math.inf}, "p must be finite and >= 1"),
+    ({"kind": "indicator", "seed": -1}, "seed must be >= 0"),
+    ({"kind": "random-phase", "seed": -1}, "seed must be >= 0"),
+    ({"kind": "strip", "k_squares": 6}, "power-of-two square count"),
+    ({"kind": "strip", "k_squares": 0}, "power-of-two square count"),
+    ({"kind": "strip", "k_squares": 4.0}, "power-of-two square count"),
+    ({"kind": "curve-bilinear", "i1": (0.0, 0.3)}, "align with the cap grid"),
+    ({"kind": "curve-bilinear", "i1": (0.5, 0.25)}, "not an increasing subinterval"),
+    ({"kind": "curve-bilinear", "i2": (0.25, 0.5)}, "too close"),
+    ({"kind": "bilinear-pair", "nu": 0.3}, "min |Q| = 0.25 < 0.3"),
+    ({"kind": "bilinear-pair", "nu": 0.01}, "min |Q| = 0 < 0.01"),
+    ({"kind": "bilinear-pair", "nu": 0.5}, "needs 0 <= nu < 0.390625"),
+    ({"kind": "bilinear-pair", "nu": -0.25}, "needs 0 <= nu < 0.390625"),
+    ({"kind": "bilinear-pair", "nu": math.nan}, "needs 0 <= nu < 0.390625"),
+], ids=["kind", "N=0.5", "N=inf", "p=0.5", "p=inf", "indicator-seed=-1",
+        "random-phase-seed=-1", "strip-K=6", "strip-K=0", "strip-K=4.0", "curve-off-grid",
+        "curve-decreasing", "curve-too-close", "nu=0.3", "nu=0.01", "nu=0.5", "nu=-0.25",
+        "nu=nan"])
+def test_spec_rejects_each_bad_value_when_built(kw, message):
+    with pytest.raises(ValueError) as err:
+        ScenarioSpec(**kw)
+    assert message in str(err.value)
+
+
+def test_spec_checks_only_what_its_kind_reads():
+    # a strip K or a nu is no value of an indicator cell; every kind's
+    # defaults build, and the bilinear pair's is transverse at nu = 1/4
+    ScenarioSpec(kind="indicator", k_squares=6, nu=0.9, i1=(0.5, 0.25))
+    for kind in harness.SCENARIO_KINDS:
+        ScenarioSpec(kind=kind)
+    with pytest.raises(NonTransverseError) as err:
+        ScenarioSpec(kind="bilinear-pair", nu=0.3)
+    assert err.value.min_form == 0.25
 
 
 def materialised(blocks):

@@ -96,6 +96,13 @@ def test_weight_mass_rejects_low_decay():
         weight_mass(BallSpec.at_origin(4, 1.0, decay=4.0))
 
 
+@pytest.mark.parametrize("dim, decay", [(4, 4.0), (4, 3.5), (2, 2.0), (2, -1.0)])
+def test_ball_rejects_decay_at_or_below_dimension(dim, decay):
+    # the ball checks it when built, before any weight mass is computed
+    with pytest.raises(ValueError, match="decay exponent must exceed the dimension"):
+        BallSpec.at_origin(dim, 1.0, decay=decay)
+
+
 def test_truncation_tail_recorded_and_negligible():
     ball = BallSpec.at_origin(4, 8.0)
     est = weighted_lp_norm(lambda X: np.ones(X.shape[0]), ball, 6.0,
@@ -598,6 +605,18 @@ def assert_sample_matches_reference(prop, seed, chunk_index, n):
     assert np.array_equal(x, x0) and np.array_equal(w, w0)
     assert_same_bits(x, x0)       # signed zeros included
     assert_same_bits(w, w0)
+
+
+@pytest.mark.parametrize("radius, count", [(16.0, 3), (1024.0, 6), (2048.0, 6),
+                                           (4096.0, 7), (16384.0, 8), (2.0 ** 20, 11)])
+def test_mixture_radii_shrink_to_the_floor_at_every_radius(radius, count):
+    # radii R / 4^k down to the floor 0.9, however many that takes: a fixed
+    # number of copies left the origin, where |E g| peaks, unsampled at large R
+    prop = _MixtureProposal(BallSpec.at_origin(4, radius), defensive=True)
+    assert prop.radii.tolist() == [radius / 4.0 ** k for k in range(count)]
+    assert prop.radii[-1] > 0.9 >= prop.radii[-1] / 4.0
+    assert _MixtureProposal(BallSpec.at_origin(4, radius), defensive=False).radii.tolist() \
+        == [radius]
 
 
 @pytest.mark.parametrize("defensive", [True, False])
